@@ -73,10 +73,6 @@ from .solver import (
     inner_solve,
     linearized_ber_constraint,
     solve,
-    solve_known_csi,
-    solve_qos,
-    solve_symmetric,
-    solve_unknown_csi,
 )
 
 __version__ = "0.1.0"

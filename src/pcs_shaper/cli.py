@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -270,7 +269,7 @@ def _point_feasible(point: OperatingPoint, p) -> bool:
     return abs(mean) <= prob.constraints.flicker_alpha * prob.dc_bias + 1e-12
 
 
-def _run_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     settings = _settings(cfg)
     powers = _powers(cfg)
 
@@ -291,12 +290,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
                    _point_feasible(point, result.p_opt)]
         return [uniform_row, pcs_row]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one, powers))
-    else:
-        chunks = [one(p) for p in powers]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for p in powers for row in one(p)]
     _write_csv(out_dir / cfg.output, cfg,
                ["power_dbm", "scheme", "secrecy_bits", "ber_analytic",
                 "ber_montecarlo", "feasible"], rows)
@@ -306,7 +300,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def _run_design(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def _run_design(cfg: ExperimentConfig, out_dir: Path) -> int:
     settings = _settings(cfg)
     powers = _powers(cfg)
     rows = []
@@ -331,7 +325,7 @@ def _run_design(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def _run_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def _run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     settings = _settings(cfg)
     powers = _powers(cfg)
     rows = []
@@ -410,7 +404,7 @@ def _run_validate(cfg: ExperimentConfig | None, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def run(config_path: str, out_dir: str = ".", seed: int | None = None,
-        starts: int | None = None, threads: int = 1) -> int:
+        starts: int | None = None) -> int:
     """Execute the scenario in ``config_path``; returns the process exit code."""
     try:
         with open(config_path) as fh:
@@ -427,11 +421,11 @@ def run(config_path: str, out_dir: str = ".", seed: int | None = None,
 
     try:
         if cfg.scenario == "sweep_power":
-            return _run_sweep(cfg, out, threads)
+            return _run_sweep(cfg, out)
         if cfg.scenario in ("design_known", "design_unknown", "design_qos"):
-            return _run_design(cfg, out, threads)
+            return _run_design(cfg, out)
         if cfg.scenario == "convergence_trace":
-            return _run_convergence(cfg, out, threads)
+            return _run_convergence(cfg, out)
         if cfg.scenario == "validate_ber":
             return _run_validate(cfg, out)
     except InfeasibleError as exc:
@@ -456,7 +450,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", default=".", help="output directory")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--starts", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1)
 
     sub.add_parser("validate", help="run the quick oracle cross-checks")
 
@@ -468,8 +461,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     if args.command == "validate":
         return _run_validate(None, Path("."))
-    return run(args.config, out_dir=args.out, seed=args.seed,
-               starts=args.starts, threads=args.threads)
+    return run(args.config, out_dir=args.out, seed=args.seed, starts=args.starts)
 
 
 if __name__ == "__main__":

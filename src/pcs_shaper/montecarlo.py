@@ -3,13 +3,12 @@ eavesdropper position sampling.
 
 Symbol streams are drawn by inverse-CDF lookup (exact for a discrete
 distribution); noise comes from per-chunk Philox generators keyed by
-``(seed, chunk_index)`` so the aggregate counts are identical no matter how
-chunks are scheduled across workers.
+``(seed, chunk_index)``, and the chunk partition depends on the symbol count
+alone, so the counts are a function of the seed and the symbol count.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +78,7 @@ def map_detect(y, c: PamConstellation, p, link) -> np.ndarray | int:
     return int(decisions[0]) if scalar else decisions
 
 
-def _simulate_chunk(cfg: SimConfig, index: int, n: int) -> tuple[np.ndarray, int]:
+def _simulate_chunk(cfg: SimConfig, index: int, n: int) -> np.ndarray:
     rng = _chunk_rng(cfg.seed, index)
     probs = cfg.distribution.probs
     cdf = np.cumsum(probs)
@@ -91,40 +90,36 @@ def _simulate_chunk(cfg: SimConfig, index: int, n: int) -> tuple[np.ndarray, int
     m = cfg.constellation.order_m
     confusion = np.zeros((m, m), dtype=np.int64)
     np.add.at(confusion, (sent, detected), 1)
-    codes = cfg.constellation.gray_codes
-    xored = codes[sent] ^ codes[detected]
-    bit_errors = 0
-    while xored.any():
-        bit_errors += int(np.count_nonzero(xored & 1))
-        xored >>= 1
-    return confusion, bit_errors
+    return confusion
 
 
-def simulate_error_rates(cfg: SimConfig, workers: int = 1) -> ErrorStats:
+def _stderr(mean: float, mean_sq: float, n: int) -> float:
+    """Standard error of a sample mean from the first two sample moments."""
+    return math.sqrt(max(mean_sq - mean * mean, 0.0) / n)
+
+
+def simulate_error_rates(cfg: SimConfig) -> ErrorStats:
     """Empirical SER/BER of the MAP detector under the shaped distribution.
 
-    Standard errors use the binomial approximation.  The chunk partition is a
-    function of n_symbols alone, so results do not depend on ``workers``.
+    A symbol sent as m and detected as k flips ``d_H(m, k)`` bits, the
+    Hamming distance between their Gray labels.  Standard errors come from
+    the per-symbol error indicator and the per-symbol bit-error count, so a
+    symbol error that flips several bits counts as one correlated event.
     """
     n = cfg.n_symbols
-    splits = [(i, min(_CHUNK, n - i * _CHUNK))
-              for i in range((n + _CHUNK - 1) // _CHUNK)]
-    if workers > 1 and len(splits) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda s: _simulate_chunk(cfg, *s), splits))
-    else:
-        parts = [_simulate_chunk(cfg, i, size) for i, size in splits]
-    confusion = sum(p[0] for p in parts)
-    bit_errors = sum(p[1] for p in parts)
-    sym_errors = int(confusion.sum() - np.trace(confusion))
-    ser = sym_errors / n
-    n_bits = n * cfg.constellation.bits_per_symbol
-    ber = bit_errors / n_bits
+    confusion = sum(_simulate_chunk(cfg, i, min(_CHUNK, n - i * _CHUNK))
+                    for i in range((n + _CHUNK - 1) // _CHUNK))
+    k = cfg.constellation.bits_per_symbol
+    codes = cfg.constellation.gray_codes
+    labels_xor = codes[:, None] ^ codes[None, :]
+    d_h = sum((labels_xor >> b) & 1 for b in range(k))
+    ser = int(confusion.sum() - np.trace(confusion)) / n
+    bit_errors = int((confusion * d_h).sum())
     return ErrorStats(
         ser=ser,
-        ser_stderr=math.sqrt(max(ser * (1.0 - ser), 0.0) / n),
-        ber=ber,
-        ber_stderr=math.sqrt(max(ber * (1.0 - ber), 0.0) / n_bits),
+        ser_stderr=_stderr(ser, ser, n),
+        ber=bit_errors / (n * k),
+        ber_stderr=_stderr(bit_errors / n, int((confusion * d_h**2).sum()) / n, n) / k,
         confusion_counts=confusion,
         n_symbols=n,
     )

@@ -13,9 +13,16 @@ trace is non-decreasing.
 
 The inner concave maximizations use projected-gradient ascent with
 Barzilai-Borwein steps, an Armijo backtracking safeguard, and an exact
-projection onto the intersection of the simple sets (simplex, halfspaces,
-mirror-symmetry subspace) computed in the dual of the projection problem.
-No external convex-programming solver is involved.
+projection onto the simplex intersected with the mirror-symmetry subspace
+(symmetric mode) and at most two rows ``lo <= g @ p <= hi``: the flicker slab
+and the current reliability tangent.  The projection is the sort-based simplex
+projection of ``v - theta @ G`` at the rows' KKT multipliers theta.  Each
+multiplier is the root of a monotone piecewise-linear function of one
+variable, found by bracketed Newton steps whose slopes come from the simplex
+projection's face Jacobian; the second row's search wraps the first's.  One
+projector serves a whole start: each outer iteration swaps in its tangent row
+and keeps the warm multipliers.  No external convex-programming solver is
+involved.
 """
 from __future__ import annotations
 
@@ -37,14 +44,9 @@ __all__ = [
     "CccpSettings",
     "DesignProblem",
     "SolveResult",
-    "LinearConstraints",
     "AffineFunction",
     "inner_solve",
     "linearized_ber_constraint",
-    "solve_known_csi",
-    "solve_unknown_csi",
-    "solve_symmetric",
-    "solve_qos",
     "solve",
     "project_to_simplex",
 ]
@@ -52,6 +54,7 @@ __all__ = [
 VARIANTS = ("known_csi", "unknown_csi", "unknown_csi_symmetric", "qos_max_eve_ber")
 
 _FEAS_TOL = 1e-13       # projection constraint-violation target
+_MAX_ROOT_STEPS = 200    # Newton/bisection steps per multiplier search
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
 
@@ -136,240 +139,124 @@ def _symmetrize(v: np.ndarray) -> np.ndarray:
     return 0.5 * (v + v[::-1])
 
 
-@dataclass
-class LinearConstraints:
-    """Halfspaces ``a_ub @ p <= b_ub`` plus the optional mirror-symmetry subspace."""
+def _face_dot(support: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """``a @ J @ b`` for the Jacobian J of project_to_simplex on the face ``support``."""
+    a_s, b_s = a[support], b[support]
+    return float(a_s @ b_s - a_s.sum() * b_s.sum() / a_s.size)
 
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    symmetric: bool = False
 
-    def __post_init__(self):
-        if (self.a_ub is None) != (self.b_ub is None):
-            raise ConfigError("a_ub and b_ub must be supplied together")
-        if self.a_ub is not None:
-            self.a_ub = np.atleast_2d(np.asarray(self.a_ub, dtype=float))
-            self.b_ub = np.atleast_1d(np.asarray(self.b_ub, dtype=float))
-            if self.a_ub.shape[0] != self.b_ub.size:
-                raise ConfigError("a_ub rows and b_ub length differ")
+def _value_range(g: np.ndarray, cut=None) -> tuple[float, float]:
+    """Least and greatest ``g @ x`` over the simplex, or its slice by the row ``cut``.
 
-    def rows(self) -> list[tuple[np.ndarray, float, float]]:
-        if self.a_ub is None:
-            return []
-        return [(self.a_ub[i], float(self.b_ub[i]),
-                 float(self.a_ub[i] @ self.a_ub[i]))
-                for i in range(self.a_ub.shape[0])]
+    The extremes sit at vertices of the slice: simplex vertices inside it and
+    the points where its bounding hyperplanes cross simplex edges.  An empty
+    slice gives ``(inf, -inf)``.
+    """
+    if cut is None:
+        return float(g.min()), float(g.max())
+    h, lo, hi = cut
+    vals = [g[(lo <= h) & (h <= hi)]]
+    for c in (lo, hi):
+        i, j = np.nonzero((h[:, None] < c) & (c < h[None, :]))
+        vals.append(g[i] + (c - h[i]) / (h[j] - h[i]) * (g[j] - g[i]))
+    vals = np.concatenate(vals)
+    return (float(vals.min()), float(vals.max())) if vals.size else (math.inf, -math.inf)
+
+
+def _multiplier(resid, t: float, row):
+    """KKT multiplier of ``row = (g, lo, hi)`` from the warm start t.
+
+    ``resid(t)`` returns the row value r (non-increasing, piecewise linear in
+    t), its slope and the projected point.  At the returned ``(t, x)``, r = hi
+    if t > 0, r = lo if t < 0, and r lies in [lo, hi] if t = 0.  Newton steps
+    are capped at ``max(2|t|, 1/spread)`` (spread: the range of g), stop at 0
+    and bisect the bracket when they leave it; slopes below
+    ``1e-12 spread**2`` count as flat.
+    """
+    g, lo, hi = row
+    spread = float(g.max() - g.min())
+    tol = _FEAS_TOL * (1.0 + max((abs(b) for b in (lo, hi) if math.isfinite(b)),
+                                 default=0.0))
+    unit = 1.0 / spread if spread > 0 else 1.0
+    flat = -1e-12 * spread**2
+    left, right = -math.inf, math.inf
+    for _ in range(_MAX_ROOT_STEPS):
+        r, slope, x = resid(t)
+        want_lo, want_hi = (lo if t <= 0 else hi), (hi if t >= 0 else lo)
+        if r > want_hi + tol:
+            left, target = t, want_hi
+        elif r < want_lo - tol:
+            right, target = t, want_lo
+        else:
+            return t, x
+        step = (r - target) / -slope if slope < flat else math.inf
+        new = t + math.copysign(min(abs(step), max(2.0 * abs(t), unit)), r - target)
+        if t * new < 0:
+            new = 0.0
+        if not left < new < right:
+            new = 0.5 * (left + right)
+            if not left < new < right:
+                break
+        t = new
+    raise NonConvergenceError("projection multiplier search did not converge")
 
 
 class _Projector:
-    """Exact projection onto {simplex [∩ symmetry subspace] ∩ linear inequalities}.
+    """Exact projection onto {simplex [∩ mirror subspace] ∩ ``lo <= g @ p <= hi`` rows}.
 
-    The simplex (optionally pre-symmetrized: the simplex is invariant under
-    index reversal, so projecting the symmetric part is exact) has a
-    closed-form projection.  The few general inequalities are handled in the
-    dual: antipodal row pairs (g, -g) merge into two-sided slabs with a free
-    signed multiplier, remaining rows keep a nonnegative one, and the
-    multipliers solve ``x* = base_project(v - R^T theta)`` by cyclic exact
-    coordinate maximization of the concave dual (each coordinate is a monotone
-    scalar root-find), finished by an active-face Newton solve.  Multipliers
-    are warm-started across calls, so consecutive projections during one inner
-    solve usually cost a single evaluation.  A scalar equation whose residual
-    cannot reach its target certifies an empty constraint set.
+    Symmetric mode pre-symmetrizes the point and the rows (the simplex is
+    invariant under index reversal).  Row 1's multiplier search wraps row 0's,
+    its slope the Schur complement of the rows' face-map system.  Multipliers
+    stay warm across calls and row swaps: a call at which they are still
+    optimal costs one simplex projection.
     """
 
-    def __init__(self, n: int, constraints: LinearConstraints | None,
-                 max_sweeps: int = 200):
-        self.n = n
-        self.cons = constraints or LinearConstraints()
-        self.symmetric = self.cons.symmetric
-        self.max_sweeps = max_sweeps
-        rows = None
-        if self.cons.a_ub is not None:
-            rows = self.cons.a_ub.astype(float)
-            if self.symmetric:
-                # fold each row through the mirror: equivalent on the subspace
-                rows = 0.5 * (rows + rows[:, ::-1])
-        self.rows = []      # (g, lo, hi): lo = -inf for one-sided rows
-        if rows is not None:
-            b = self.cons.b_ub.astype(float)
-            used = np.zeros(rows.shape[0], dtype=bool)
-            for i in range(rows.shape[0]):
-                if used[i]:
-                    continue
-                mate = -1
-                for j in range(i + 1, rows.shape[0]):
-                    if not used[j] and np.allclose(rows[j], -rows[i],
-                                                   rtol=0.0, atol=1e-14):
-                        mate = j
-                        break
-                if mate >= 0:
-                    used[i] = used[mate] = True
-                    self.rows.append((rows[i], -b[mate], b[i]))
-                else:
-                    used[i] = True
-                    self.rows.append((rows[i], -math.inf, b[i]))
-        self.theta = np.zeros(len(self.rows))
+    def __init__(self, rows=(), symmetric: bool = False):
+        self.symmetric = symmetric
+        self.rows, self.theta = [], []
+        for k, (g, lo, hi) in enumerate(rows):
+            self.set_row(k, g, lo, hi)
 
-    # -- geometry helpers -------------------------------------------------
-    def base_project(self, v: np.ndarray) -> np.ndarray:
-        if self.symmetric:
-            v = _symmetrize(v)
-        return project_to_simplex(v)
-
-    def _point(self, v: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        w = v
-        for k, (g, _, _) in enumerate(self.rows):
-            if theta[k] != 0.0:
-                w = w - theta[k] * g
-        return self.base_project(w)
-
-    def violation(self, x: np.ndarray) -> float:
-        out = max(abs(x.sum() - 1.0), -min(float(x.min()), 0.0))
-        for g, lo, hi in self.rows:
-            val = float(g @ x)
-            scale = 1.0 + max(abs(hi), 0.0 if math.isinf(lo) else abs(lo))
-            out = max(out, (val - hi) / scale)
-            if not math.isinf(lo):
-                out = max(out, (lo - val) / scale)
-        if self.symmetric:
-            half = self.n // 2
-            out = max(out, float(np.abs(x[:half] - x[::-1][:half]).max()))
-        return out
-
-    def _face_map(self, support: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Jacobian action of base_project on the face with the given support."""
-        w = _symmetrize(g) if self.symmetric else g.copy()
-        q = np.zeros_like(w)
-        q[support] = w[support] - w[support].mean()
-        return q
-
-    def _complementary(self, theta: np.ndarray, x: np.ndarray) -> bool:
-        for k, (g, lo, hi) in enumerate(self.rows):
-            val = float(g @ x)
-            scale = 1.0 + max(abs(hi), 0.0 if math.isinf(lo) else abs(lo))
-            if (val - hi) / scale > _FEAS_TOL:
-                return False
-            if not math.isinf(lo) and (lo - val) / scale > _FEAS_TOL:
-                return False
-            if theta[k] > 1e-14 * (1.0 + abs(theta[k])) \
-                    and abs(val - hi) / scale > _FEAS_TOL:
-                return False
-            if theta[k] < -1e-14 * (1.0 + abs(theta[k])) \
-                    and abs(val - lo) / scale > _FEAS_TOL:
-                return False
-        return True
-
-    # -- exact scalar coordinate solve ------------------------------------
-    def _coordinate_solve(self, v: np.ndarray, theta: np.ndarray, k: int) -> np.ndarray:
-        g, lo, hi = self.rows[k]
-        two_sided = not math.isinf(lo)
-
-        def resid(t):
-            th = theta.copy()
-            th[k] = t
-            return float(g @ self._point(v, th)), th
-
-        r0, _ = resid(0.0)
-        if r0 <= hi + 0.0 and (not two_sided or r0 >= lo):
-            theta = theta.copy()
-            theta[k] = 0.0
-            return theta
-        if r0 > hi:
-            target, direction = hi, 1.0
-        else:
-            target, direction = lo, -1.0
-        # bracket: r is non-increasing in t, so move t in `direction`
-        t_lo = 0.0
-        t_hi = direction
-        r_hi, _ = resid(t_hi)
-        for _ in range(120):
-            if (r_hi - target) * direction <= 0.0:
-                break
-            t_lo = t_hi
-            t_hi *= 2.0
-            r_prev = r_hi
-            r_hi, _ = resid(t_hi)
-            if r_hi == r_prev and abs(t_hi) > 1e9 * (1.0 + np.abs(v).max()):
-                raise InfeasibleError(
-                    "constraint set is empty (projection residual cannot reach "
-                    "its bound)")
-        else:
-            raise InfeasibleError(
-                "constraint set is empty (projection dual is unbounded)")
-        for _ in range(200):
-            mid = 0.5 * (t_lo + t_hi)
-            if mid == t_lo or mid == t_hi:
-                break
-            r_mid, _ = resid(mid)
-            if (r_mid - target) * direction > 0.0:
-                t_lo = mid
-            else:
-                t_hi = mid
-        theta = theta.copy()
-        theta[k] = t_hi
-        return theta
-
-    def _newton_finish(self, v: np.ndarray, theta: np.ndarray, x: np.ndarray):
-        """Solve the active-face KKT system exactly; None if the guess is wrong."""
-        active = []
-        targets = []
-        for k, (g, lo, hi) in enumerate(self.rows):
-            val = float(g @ x)
-            if theta[k] > 0.0 or val > hi:
-                active.append(k)
-                targets.append(hi)
-            elif not math.isinf(lo) and (theta[k] < 0.0 or val < lo):
-                active.append(k)
-                targets.append(lo)
-        if not active:
-            return None
-        support = x > 0.0
-        if not support.any():
-            return None
-        rows = np.stack([self.rows[k][0] for k in active])
-        k_mat = rows @ np.stack([self._face_map(support, g) for g in rows]).T
-        resid = rows @ x - np.asarray(targets)
-        try:
-            delta = np.linalg.solve(k_mat, resid)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)) \
-                or np.abs(delta).max() > 1e8 * (1.0 + np.abs(theta).max()):
-            return None
-        cand = theta.copy()
-        cand[list(active)] += delta
-        for k, (g, lo, hi) in enumerate(self.rows):
-            one_sided = math.isinf(lo)
-            if one_sided and cand[k] < 0.0:
-                if cand[k] < -1e-9 * (1.0 + np.abs(cand).max()):
-                    return None
-                cand[k] = 0.0
-        x_c = self._point(v, cand)
-        if self.violation(x_c) <= _FEAS_TOL and self._complementary(cand, x_c):
-            return cand, x_c
-        return None
+    def set_row(self, k: int, g: np.ndarray, lo: float, hi: float) -> None:
+        """Install row k (k == len(rows) appends); a replaced row keeps its multiplier."""
+        if k >= 2:
+            raise ConfigError("the projection takes at most two constraint rows")
+        g = _symmetrize(g) if self.symmetric else np.asarray(g, dtype=float)
+        if k == len(self.rows):
+            self.rows.append(None)
+            self.theta.append(0.0)
+        self.rows[k] = (g, float(lo), float(hi))
+        for i, (g_i, lo_i, hi_i) in enumerate(self.rows):
+            least, most = _value_range(g_i, self.rows[0] if i else None)
+            if max(lo_i, least) > min(hi_i, most):
+                raise InfeasibleError("constraint set is empty")
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
+        v = _symmetrize(v) if self.symmetric else np.asarray(v, dtype=float)
         if not self.rows:
-            return self.base_project(v)
-        theta = self.theta.copy()
-        x = self._point(v, theta)
-        for _ in range(self.max_sweeps):
-            if self.violation(x) <= _FEAS_TOL and self._complementary(theta, x):
-                break
-            finished = self._newton_finish(v, theta, x)
-            if finished is not None:
-                theta, x = finished
-                break
-            theta_prev = theta
-            for k in range(len(self.rows)):
-                theta = self._coordinate_solve(v, theta, k)
-            x = self._point(v, theta)
-            if np.abs(theta - theta_prev).max() == 0.0:
-                break
-        if self.violation(x) > _FEAS_TOL or not self._complementary(theta, x):
-            raise NonConvergenceError("projection dual did not converge")
-        self.theta = theta
+            return project_to_simplex(v)
+        g0 = self.rows[0][0]
+
+        def row0(w):
+            def resid(t):
+                x = project_to_simplex(w - t * g0)
+                return float(g0 @ x), -_face_dot(x > 0, g0, g0), x
+            self.theta[0], x = _multiplier(resid, self.theta[0], self.rows[0])
+            return x
+
+        if len(self.rows) == 1:
+            return row0(v)
+        g1 = self.rows[1][0]
+
+        def resid(t):
+            x = row0(v - t * g1)
+            s = x > 0
+            k11 = _face_dot(s, g1, g1)
+            k00 = _face_dot(s, g0, g0)
+            if self.theta[0] != 0.0 and k00 > 0:
+                k11 -= _face_dot(s, g0, g1) ** 2 / k00   # row 0 held at its bound
+            return float(g1 @ x), -k11, x
+        self.theta[1], x = _multiplier(resid, self.theta[1], self.rows[1])
         return x
 
 
@@ -431,19 +318,20 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
     return p, f, _kkt_residual(p, g, project) <= kkt_tol
 
 
-def inner_solve(objective, n: int, constraints: LinearConstraints | None = None,
+def inner_solve(objective, n: int, rows=(), symmetric: bool = False,
                 x0: np.ndarray | None = None, kkt_tol: float = 1e-8,
                 max_iter: int = 3000) -> Distribution:
     """Maximize a concave objective over the constrained simplex.
 
-    ``objective(p)`` must return ``(value, gradient)``.  Raises
-    InfeasibleError when the constraint set is empty and NonConvergenceError
-    when the KKT residual (unit-step projected-gradient mapping) cannot be
-    driven below ``kkt_tol``.
+    ``objective(p)`` must return ``(value, gradient)``; ``rows`` holds at most
+    two constraints ``(g, lo, hi)`` meaning ``lo <= g @ p <= hi`` (``lo`` may
+    be ``-inf``), and ``symmetric`` adds the mirror-symmetry subspace.
+    Raises InfeasibleError when the constraint set is empty and
+    NonConvergenceError when the KKT residual (unit-step projected-gradient
+    mapping) cannot be driven below ``kkt_tol``.
     """
-    project = _Projector(n, constraints)
+    project = _Projector(rows, symmetric)
     start = np.full(n, 1.0 / n) if x0 is None else np.asarray(x0, dtype=float)
-    start = project(start)   # raises InfeasibleError on an empty set
     p, _, kkt_ok = _pg_ascent(objective, project, start, max_iter, kkt_tol)
     if not kkt_ok:
         raise NonConvergenceError(
@@ -486,23 +374,6 @@ def _start_points(m: int, settings: CccpSettings) -> list[np.ndarray]:
         rng = np.random.Generator(np.random.Philox(key=(int(settings.seed) << 64) + i))
         points.append(rng.dirichlet(np.ones(m)))
     return points
-
-
-def _base_constraints(problem: DesignProblem) -> LinearConstraints:
-    if problem.constraints.mode == "symmetric":
-        return LinearConstraints(symmetric=True)
-    a = problem.constellation.amplitudes
-    bound = problem.constraints.flicker_alpha * problem.dc_bias
-    return LinearConstraints(a_ub=np.vstack([a, -a]), b_ub=np.array([bound, bound]))
-
-
-def _with_ber_row(base: LinearConstraints, coef: np.ndarray,
-                  rhs: float) -> LinearConstraints:
-    rows = [coef] if base.a_ub is None else [base.a_ub, coef[None, :]]
-    b = [rhs] if base.b_ub is None else [base.b_ub, [rhs]]
-    return LinearConstraints(a_ub=np.vstack([np.atleast_2d(r) for r in rows]),
-                             b_ub=np.concatenate([np.atleast_1d(x) for x in b]),
-                             symmetric=base.symmetric)
 
 
 class _Objective:
@@ -616,10 +487,12 @@ def _run_single_start(obj: _Objective, start: np.ndarray, start_index: int,
                       settings: CccpSettings):
     problem = obj.problem
     thr = problem.constraints.pre_fec_threshold
-    base = _base_constraints(problem)
-    base_proj = _Projector(problem.constellation.order_m, base)
-    p = base_proj(start)
-    p = _restore_feasibility(obj, base_proj, p, settings)
+    symmetric = problem.constraints.mode == "symmetric"
+    bound = problem.constraints.flicker_alpha * problem.dc_bias
+    slab = [] if symmetric else [(obj.c.amplitudes, -bound, bound)]
+    project = _Projector(slab, symmetric)
+    p = project(start)
+    p = _restore_feasibility(obj, project, p, settings)
     if p is None:
         return None
     trace = [obj.true_value(p)]
@@ -628,11 +501,11 @@ def _run_single_start(obj: _Objective, start: np.ndarray, start_index: int,
     for k in range(1, settings.max_iters + 1):
         tangent = linearized_ber_constraint(obj.clamp(p), problem.bob_link, obj.c)
         margin = 1e-13 * (1.0 + thr)
-        cons_k = _with_ber_row(base, tangent.coef,
-                               thr - margin - tangent.offset)
+        project.set_row(len(slab), tangent.coef, -math.inf,
+                        thr - margin - tangent.offset)
         fg = obj.surrogate(p)
-        p_new, _, _ = _pg_ascent(fg, _Projector(problem.constellation.order_m, cons_k),
-                                 p, settings.inner_max_iter, settings.inner_kkt_tol)
+        p_new, _, _ = _pg_ascent(fg, project, p, settings.inner_max_iter,
+                                 settings.inner_kkt_tol)
         trace.append(obj.true_value(p_new))
         p = p_new
         denom = max(abs(trace[-2]), 1e-12)
@@ -640,16 +513,7 @@ def _run_single_start(obj: _Objective, start: np.ndarray, start_index: int,
             converged = True
             iterations = k
             break
-    p = _finalize(obj, p)
     return p, trace, iterations, converged, start_index
-
-
-def _finalize(obj: _Objective, p: np.ndarray) -> np.ndarray:
-    if obj.problem.constraints.mode == "symmetric":
-        p = _symmetrize(p)
-        p = np.maximum(p, 0.0)
-        p /= p.sum()
-    return p
 
 
 def _feasibility_report(problem: DesignProblem, p: np.ndarray) -> dict[str, float]:
@@ -669,7 +533,18 @@ def _feasibility_report(problem: DesignProblem, p: np.ndarray) -> dict[str, floa
     return report
 
 
-def _solve_cccp(problem: DesignProblem, settings: CccpSettings) -> SolveResult:
+def solve(problem: DesignProblem, settings: CccpSettings | None = None) -> SolveResult:
+    """Design the distribution for ``problem.variant`` by multi-start CCCP.
+
+    Raises DegradedRegimeError when a known-CSI eavesdropper is at least as
+    good as Bob, and InfeasibleError when no start reaches the reliability
+    constraint.
+    """
+    settings = settings or CccpSettings()
+    if problem.variant == "known_csi" \
+            and problem.bob_link.quality <= problem.eve_link.quality:
+        raise DegradedRegimeError(
+            "known-CSI design requires bob quality > eve quality")
     obj = _Objective(problem, settings)
     best = None
     per_start = []
@@ -699,58 +574,3 @@ def _solve_cccp(problem: DesignProblem, settings: CccpSettings) -> SolveResult:
         start_index=start_index,
         per_start=per_start,
     )
-
-
-# ---------------------------------------------------------------------------
-# public variant entry points
-# ---------------------------------------------------------------------------
-
-def solve_known_csi(problem: DesignProblem, settings: CccpSettings | None = None) -> SolveResult:
-    """Maximize the exact secrecy capacity with a known eavesdropper link."""
-    settings = settings or CccpSettings()
-    if problem.variant != "known_csi":
-        raise ConfigError("problem.variant must be 'known_csi'")
-    if problem.bob_link.quality <= problem.eve_link.quality:
-        raise DegradedRegimeError(
-            "known-CSI design requires bob quality > eve quality")
-    return _solve_cccp(problem, settings)
-
-
-def solve_unknown_csi(problem: DesignProblem, settings: CccpSettings | None = None) -> SolveResult:
-    """Maximize the tractable average-eavesdropper secrecy lower bound."""
-    settings = settings or CccpSettings()
-    if problem.variant != "unknown_csi":
-        raise ConfigError("problem.variant must be 'unknown_csi'")
-    return _solve_cccp(problem, settings)
-
-
-def solve_symmetric(problem: DesignProblem, settings: CccpSettings | None = None) -> SolveResult:
-    """Maximize Bob's output entropy under the hard symmetry constraint.
-
-    The objective is concave outright, so only the reliability linearization
-    is refreshed between inner solves.
-    """
-    settings = settings or CccpSettings()
-    if problem.variant != "unknown_csi_symmetric":
-        raise ConfigError("problem.variant must be 'unknown_csi_symmetric'")
-    return _solve_cccp(problem, settings)
-
-
-def solve_qos(problem: DesignProblem, settings: CccpSettings | None = None) -> SolveResult:
-    """Maximize the eavesdropper's approximate BER (concave objective)."""
-    settings = settings or CccpSettings()
-    if problem.variant != "qos_max_eve_ber":
-        raise ConfigError("problem.variant must be 'qos_max_eve_ber'")
-    return _solve_cccp(problem, settings)
-
-
-_DISPATCH = {
-    "known_csi": solve_known_csi,
-    "unknown_csi": solve_unknown_csi,
-    "unknown_csi_symmetric": solve_symmetric,
-    "qos_max_eve_ber": solve_qos,
-}
-
-
-def solve(problem: DesignProblem, settings: CccpSettings | None = None) -> SolveResult:
-    return _DISPATCH[problem.variant](problem, settings)

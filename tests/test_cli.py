@@ -76,15 +76,6 @@ def test_sweep_runs_and_is_deterministic(tmp_path):
     assert all(row.split(",")[5] == "true" for row in rows if ",pcs," in row)
 
 
-def test_sweep_threads_match_serial(tmp_path):
-    cfg = mini_config(output="sweep.csv")
-    path = write_config(tmp_path, cfg)
-    assert run(str(path), out_dir=str(tmp_path / "s"), threads=1) == EXIT_OK
-    assert run(str(path), out_dir=str(tmp_path / "t"), threads=4) == EXIT_OK
-    assert (tmp_path / "s" / "sweep.csv").read_bytes() \
-        == (tmp_path / "t" / "sweep.csv").read_bytes()
-
-
 def test_design_scenario_writes_distribution(tmp_path):
     cfg = mini_config(scenario="design_known", power_dbm=[28.0],
                       output="dist.csv")

@@ -123,15 +123,28 @@ def test_confusion_off_diagonal_respects_pairwise_terms():
             assert freq <= bound + 4.0 * se
 
 
-def test_simulation_reproducibility_and_worker_invariance():
+def test_simulation_reproducibility():
     c = build_constellation(8, 2.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.5)
     cfg = SimConfig(n_symbols=2_300_000, seed=99, link=link, constellation=c,
                     distribution=Distribution.uniform(8))
-    a = simulate_error_rates(cfg, workers=1)
-    b = simulate_error_rates(cfg, workers=4)
+    a = simulate_error_rates(cfg)
+    b = simulate_error_rates(cfg)
     assert np.array_equal(a.confusion_counts, b.confusion_counts)
     assert a.ber == b.ber and a.ser == b.ser
+
+
+def test_ber_stderr_counts_both_bits_of_a_two_bit_error():
+    # only symbols 0 and 2 (Gray labels 00 and 11) are sent, so every symbol
+    # error flips both bits: the bit errors are the symbol errors counted twice
+    c = build_constellation(4, 1.0)
+    link = LinkBudget(composite_gain=1.0, sigma=0.5)
+    stats = simulate_error_rates(SimConfig(
+        n_symbols=200_000, seed=6, link=link, constellation=c,
+        distribution=Distribution(np.array([0.5, 0.0, 0.5, 0.0]))))
+    assert stats.ser > 0.01
+    assert stats.ber == stats.ser
+    assert stats.ber_stderr == stats.ser_stderr
 
 
 def test_nadir_gain_matches_prefactor(receiver):

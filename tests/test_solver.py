@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import linprog
 
 from pcs_shaper.capacity import EntropyGrid
 from pcs_shaper.channel import LinkBudget
@@ -14,15 +16,11 @@ from pcs_shaper.exceptions import ConfigError, DegradedRegimeError, InfeasibleEr
 from pcs_shaper.solver import (
     CccpSettings,
     DesignProblem,
-    LinearConstraints,
+    _Projector,
     inner_solve,
     linearized_ber_constraint,
     project_to_simplex,
     solve,
-    solve_known_csi,
-    solve_qos,
-    solve_symmetric,
-    solve_unknown_csi,
 )
 
 from conftest import dirichlet_interior, links_at_dbm
@@ -69,7 +67,8 @@ def qp_oracle_max(q_mat, c_vec, a_ub=None, b_ub=None):
             except np.linalg.LinAlgError:
                 continue
             x = sol[:n]
-            if np.any(x < -1e-9):
+            # a numerically singular system can return a point off its own face
+            if np.any(x < -1e-9) or np.abs(a_eq @ x - rhs).max() > 1e-9:
                 continue
             if a_ub is not None and np.any(a_ub @ x - b_ub > 1e-9):
                 continue
@@ -114,7 +113,7 @@ def test_concave_quadratic_matches_active_set_oracle():
         def fg(p):
             return float(0.5 * p @ q_mat @ p + c_vec @ p), q_mat @ p + c_vec
 
-        got = inner_solve(fg, 4, LinearConstraints(a_ub=a_ub, b_ub=b_ub))
+        got = inner_solve(fg, 4, [(g_row, -math.inf, b_val)])
         val = fg(got.probs)[0]
         want_val, want_x = qp_oracle_max(q_mat, c_vec, a_ub, b_ub)
         assert val == pytest.approx(want_val, abs=1e-5)
@@ -122,10 +121,9 @@ def test_concave_quadratic_matches_active_set_oracle():
 
 
 def test_inner_solve_signals_infeasible():
-    a = np.array([[1.0, 1.0, 1.0, 1.0]])
+    a = np.array([1.0, 1.0, 1.0, 1.0])
     with pytest.raises(InfeasibleError):
-        inner_solve(lambda p: (0.0, np.zeros(4)), 4,
-                    LinearConstraints(a_ub=a, b_ub=np.array([0.5])))
+        inner_solve(lambda p: (0.0, np.zeros(4)), 4, [(a, -math.inf, 0.5)])
 
 
 def test_inner_solve_symmetric_subspace():
@@ -134,10 +132,115 @@ def test_inner_solve_symmetric_subspace():
     def fg(p):
         return -float((p - target) @ (p - target)), -2.0 * (p - target)
 
-    out = inner_solve(fg, 4, LinearConstraints(symmetric=True))
+    out = inner_solve(fg, 4, symmetric=True)
     assert np.abs(symmetry_residual(out.probs)).max() < 1e-12
     sym_target = 0.5 * (target + target[::-1])
     assert np.abs(out.probs - sym_target).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the exact projector against the exhaustive oracle
+# ---------------------------------------------------------------------------
+
+def _vectors(m, bound):
+    return st.lists(st.floats(-bound, bound), min_size=m, max_size=m).map(np.array)
+
+
+@st.composite
+def _projection_instances(draw, max_m, symmetric):
+    """(v, rows): a point and the projector's rows ``(g, lo, hi)``.
+
+    Without symmetry a flicker-like slab comes first and a one-sided row
+    second; with symmetry there is the one-sided row alone, as in the design
+    loop.  Bounds are drawn freely, so some sets are empty.
+    """
+    m = draw(st.integers(2, max_m))
+    v = draw(_vectors(m, 2.0))
+    rows = []
+    if not symmetric:
+        centre = draw(st.floats(-0.5, 0.5))
+        half = draw(st.floats(1e-3, 0.5))
+        rows.append((draw(_vectors(m, 1.0)), centre - half, centre + half))
+    rows.append((draw(_vectors(m, 1.0)), -math.inf, draw(st.floats(-1.0, 1.0))))
+    return v, rows
+
+
+def _halfspaces(m, rows, symmetric):
+    """The rows, and the mirror as opposite pairs, as ``a_ub @ x <= b_ub``."""
+    a_ub, b_ub = [], []
+    for g, lo, hi in rows:
+        a_ub.append(g)
+        b_ub.append(hi)
+        if math.isfinite(lo):
+            a_ub.append(-g)
+            b_ub.append(-lo)
+    for i in range(m // 2 if symmetric else 0):
+        e = np.zeros(m)
+        e[i], e[m - 1 - i] = 1.0, -1.0
+        a_ub += [e, -e]
+        b_ub += [0.0, 0.0]
+    return np.array(a_ub), np.array(b_ub)
+
+
+def _feasibility_margin(m, rows, symmetric):
+    """Largest s by which some (symmetric) simplex point clears every row bound."""
+    a_ub, b_ub = _halfspaces(m, rows, False)
+    a_eq = [np.append(np.ones(m), 0.0)]
+    for i in range(m // 2 if symmetric else 0):
+        e = np.zeros(m + 1)
+        e[i], e[m - 1 - i] = 1.0, -1.0
+        a_eq.append(e)
+    res = linprog(np.append(np.zeros(m), -1.0),
+                  A_ub=np.hstack([a_ub, np.ones((len(b_ub), 1))]), b_ub=b_ub,
+                  A_eq=np.array(a_eq), b_eq=np.eye(len(a_eq))[0],
+                  bounds=[(0.0, None)] * m + [(None, 1.0)])
+    assert res.status == 0
+    return -res.fun
+
+
+def _check_projection_against_oracle(v, rows, symmetric):
+    m = v.size
+    # a set within 1e-7 of becoming empty is decided by rounding
+    assume(abs(_feasibility_margin(m, rows, symmetric)) > 1e-7)
+    _, want = qp_oracle_max(-np.eye(m), v, *_halfspaces(m, rows, symmetric))
+    if want is None:
+        with pytest.raises(InfeasibleError):
+            _Projector(rows, symmetric)(v)
+        return
+    got = _Projector(rows, symmetric)(v)
+    assert np.abs(got - want).max() < 1e-6
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_projection_instances(max_m=8, symmetric=False))
+def test_projector_matches_oracle_with_slab_and_row(instance):
+    _check_projection_against_oracle(*instance, symmetric=False)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_projection_instances(max_m=6, symmetric=True))
+def test_projector_matches_oracle_in_symmetric_mode(instance):
+    _check_projection_against_oracle(*instance, symmetric=True)
+
+
+def test_projector_warm_hit_costs_one_simplex_projection(monkeypatch):
+    rng = np.random.default_rng(132)
+    v = rng.standard_normal(8)
+    a = np.linspace(-1.0, 1.0, 8)
+    project = _Projector([(a, -0.05, 0.05), (rng.standard_normal(8), -math.inf, -0.2)])
+    first = project(v)
+    assert all(t != 0.0 for t in project.theta)      # both rows bind
+    calls = []
+    monkeypatch.setattr("pcs_shaper.solver.project_to_simplex",
+                        lambda w: calls.append(1) or project_to_simplex(w))
+    assert np.array_equal(project(v), first)
+    assert len(calls) == 1
+
+
+def test_projector_rejects_a_third_row():
+    g = np.ones(4)
+    with pytest.raises(ConfigError):
+        _Projector([(g, -1.0, 1.0)] * 3)
 
 
 def test_linearized_ber_constraint_properties(receiver, noise_params):
@@ -176,7 +279,7 @@ def test_known_csi_unconstrained_reduction(receiver, noise_params):
     # huge alpha and a threshold near 1/2 make every constraint slack
     prob, led, bob, eve, _ = _problem("known_csi", 30.0, receiver, noise_params,
                                       threshold=0.499, alpha=1e6)
-    res = solve_known_csi(prob, CccpSettings(n_starts=2, seed=0))
+    res = solve(prob, CccpSettings(n_starts=2, seed=0))
     gb = EntropyGrid(bob.composite_gain * prob.constellation.amplitudes, bob.sigma)
     ge = EntropyGrid(eve.composite_gain * prob.constellation.amplitudes, eve.sigma)
     const = math.log2(eve.sigma / bob.sigma)
@@ -210,8 +313,8 @@ def test_traces_monotone_and_feasible(receiver, noise_params):
 def test_multi_start_determinism(receiver, noise_params):
     prob, *_ = _problem("known_csi", 24.0, receiver, noise_params)
     s = CccpSettings(n_starts=6, seed=42)
-    r1 = solve_known_csi(prob, s)
-    r2 = solve_known_csi(prob, s)
+    r1 = solve(prob, s)
+    r2 = solve(prob, s)
     assert np.array_equal(r1.p_opt.probs, r2.p_opt.probs)
     assert r1.objective_trace == r2.objective_trace
     assert r1.start_index == r2.start_index
@@ -222,7 +325,7 @@ def test_symmetric_solution_is_exactly_symmetric(receiver, noise_params):
     for power in (23.0, 29.0):
         prob, led, _, _, _ = _problem("unknown_csi_symmetric", power, receiver,
                                       noise_params, mode="symmetric")
-        res = solve_symmetric(prob, CccpSettings(n_starts=4, seed=1))
+        res = solve(prob, CccpSettings(n_starts=4, seed=1))
         assert np.abs(symmetry_residual(res.p_opt.probs)).max() <= 1e-9
         assert abs(signed_amplitude_mean(prob.constellation, res.p_opt.probs)) \
             <= 1e-9
@@ -241,7 +344,7 @@ def test_symmetric_large_noise_prefers_extreme_mass(receiver, noise_params):
                          constraints=ConstraintSet(pre_fec_threshold=0.499,
                                                    mode="symmetric"),
                          eve_avg=eve_avg)
-    res = solve_symmetric(prob, CccpSettings(n_starts=4, seed=3))
+    res = solve(prob, CccpSettings(n_starts=4, seed=3))
     p = res.p_opt.probs
     assert p[0] + p[-1] > 0.9
     grid = EntropyGrid(bob.composite_gain * c.amplitudes, bob.sigma)
@@ -253,8 +356,8 @@ def test_unknown_with_symmetric_mode_matches_solve_symmetric(receiver, noise_par
                           mode="symmetric")
     prob_s, *_ = _problem("unknown_csi_symmetric", 27.0, receiver, noise_params,
                           mode="symmetric")
-    res_u = solve_unknown_csi(prob_u, CccpSettings(n_starts=4, seed=5))
-    res_s = solve_symmetric(prob_s, CccpSettings(n_starts=4, seed=5))
+    res_u = solve(prob_u, CccpSettings(n_starts=4, seed=5))
+    res_s = solve(prob_s, CccpSettings(n_starts=4, seed=5))
     assert res_u.objective == pytest.approx(res_s.objective, abs=1e-5)
     assert np.abs(res_u.p_opt.probs - res_s.p_opt.probs).max() < 1e-4
 
@@ -263,7 +366,7 @@ def test_unknown_objective_consistent_with_t_at_bound(receiver, noise_params):
     from pcs_shaper.capacity import secrecy_lb_estimate
     prob, led, bob, _, eve_avg = _problem("unknown_csi", 25.0, receiver,
                                           noise_params)
-    res = solve_unknown_csi(prob, CccpSettings(n_starts=4, seed=7))
+    res = solve(prob, CccpSettings(n_starts=4, seed=7))
     t_opt = signed_amplitude_mean(prob.constellation, res.p_opt.probs) ** 2
     want = secrecy_lb_estimate(res.p_opt.probs, bob, eve_avg,
                                prob.constellation, t=t_opt)
@@ -279,7 +382,7 @@ def test_qos_sanity_path(receiver, noise_params):
                          bob_link=bob, dc_bias=led.dc_bias,
                          constraints=ConstraintSet(pre_fec_threshold=0.499),
                          eve_link=bob)
-    res = solve_qos(prob, CccpSettings(n_starts=2, seed=11))
+    res = solve(prob, CccpSettings(n_starts=2, seed=11))
     assert 0.0 < res.objective <= 1.0
     assert res.feasibility["flicker_excess"] <= 1e-12
 
@@ -291,13 +394,13 @@ def test_degraded_regime_guard(receiver, noise_params):
                          dc_bias=led.dc_bias, constraints=ConstraintSet(),
                          eve_link=bob)
     with pytest.raises(DegradedRegimeError):
-        solve_known_csi(prob, CccpSettings(n_starts=1, seed=0))
+        solve(prob, CccpSettings(n_starts=1, seed=0))
 
 
 def test_infeasible_design_at_very_low_power(receiver, noise_params):
     prob, *_ = _problem("known_csi", 12.0, receiver, noise_params)
     with pytest.raises(InfeasibleError):
-        solve_known_csi(prob, CccpSettings(n_starts=3, seed=0))
+        solve(prob, CccpSettings(n_starts=3, seed=0))
 
 
 def test_problem_validation(receiver, noise_params):
@@ -322,7 +425,7 @@ def test_restoration_from_infeasible_uniform_start(receiver, noise_params):
     # at 22 dBm uniform signaling violates the reliability constraint, so the
     # first (uniform) start must pass through the restoration phase
     prob, led, bob, _, _ = _problem("known_csi", 22.0, receiver, noise_params)
-    res = solve_known_csi(prob, CccpSettings(n_starts=1, seed=0))
+    res = solve(prob, CccpSettings(n_starts=1, seed=0))
     assert ber_upper_bound(prob.constellation, res.p_opt.probs, bob) <= 3.8e-3 + 1e-8
     assert res.per_start[0]["feasible"]
 
@@ -342,7 +445,7 @@ def test_sixteen_pam_secrecy_gain_at_high_power(receiver, noise_params):
     # smaller than the 8-PAM one (~3.1% vs ~4.7%)
     prob, led, bob, eve, _ = _problem("known_csi", 30.0, receiver, noise_params,
                                       m=16)
-    res = solve_known_csi(prob, CccpSettings(n_starts=4, seed=1))
+    res = solve(prob, CccpSettings(n_starts=4, seed=1))
     p_uni = np.ones(16) / 16
     gb = EntropyGrid(bob.composite_gain * prob.constellation.amplitudes, bob.sigma)
     ge = EntropyGrid(eve.composite_gain * prob.constellation.amplitudes, eve.sigma)
