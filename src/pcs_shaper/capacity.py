@@ -48,6 +48,7 @@ LOG2E = math.log2(math.e)
 GAUSS_ENTROPY_STD = 0.5 * math.log2(2.0 * math.pi * math.e)  # unit-variance Gaussian, bits
 _TAIL_SIGMAS = 10.0
 _QUAD_ABS_TOL = 1e-9
+_ENTROPY_BLOCK = 4096   # samples per -log2 f evaluation in entropy_mc
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,10 @@ def entropy_mc(mm: MixtureModel, n_samples: int, seed: int = 0,
     """Sampling estimate of the mixture entropy: mean of -log2 f(y), y ~ f.
 
     Returns (estimate, standard error).  Serves as the independent oracle for
-    the quadrature path.
+    the quadrature path.  Samples are drawn ``chunk`` at a time; within a chunk
+    ``-log2 f`` is evaluated in row blocks of ``_ENTROPY_BLOCK`` samples, so the
+    per-sample-per-component temporaries stay cache-sized.  Each sample's value
+    does not depend on the blocking, and both sums run over the whole chunk.
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
@@ -130,7 +134,9 @@ def entropy_mc(mm: MixtureModel, n_samples: int, seed: int = 0,
         n = min(chunk, n_samples - done)
         idx = rng.choice(mu.size, size=n, p=w)
         u = mu[idx] + rng.standard_normal(n)
-        h = -_log2_pdf(u, mu, w)
+        h = np.empty(n)
+        for lo in range(0, n, _ENTROPY_BLOCK):
+            h[lo:lo + _ENTROPY_BLOCK] = -_log2_pdf(u[lo:lo + _ENTROPY_BLOCK], mu, w)
         total += h.sum()
         total_sq += (h * h).sum()
         done += n

@@ -6,7 +6,9 @@ as a comment for provenance.  ``pcs-shaper paper-config`` emits the default
 simulation setup; ``pcs-shaper validate`` runs the quick oracle cross-checks.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible design,
-4 validation mismatch.
+4 validation mismatch (or any other package error), 5 a numerical procedure
+did not converge, 6 the eavesdropper link is not degraded (no positive-secrecy
+regime).
 
 Powers are quoted in dBm of average emitted optical power; at each grid point
 the DC bias is ``P / eta`` and the peak symbol amplitude defaults to the
@@ -30,7 +32,8 @@ from .channel import LambertianLed, LinkBudget, LinkGeometry, NoiseParams, \
 from .constellation import ConstraintSet, Distribution, build_constellation
 from .error_rate import PairwiseGeometry, ber_approx, ber_upper_bound, \
     pairwise_error_prob, ser_approx, ser_upper_bound
-from .exceptions import ConfigError, InfeasibleError, PcsShaperError
+from .exceptions import ConfigError, DegradedRegimeError, InfeasibleError, \
+    NonConvergenceError, PcsShaperError
 from .montecarlo import SimConfig, pairwise_error_mc, simulate_error_rates
 from .solver import CccpSettings, DesignProblem, solve
 
@@ -41,6 +44,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_VALIDATION = 4
+EXIT_NONCONVERGENCE = 5
+EXIT_DEGRADED = 6
 
 
 @dataclass(frozen=True)
@@ -434,6 +439,12 @@ def run(config_path: str, out_dir: str = ".", seed: int | None = None,
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NonConvergenceError as exc:
+        print(f"no convergence: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
+    except DegradedRegimeError as exc:
+        print(f"eavesdropper not degraded: {exc}", file=sys.stderr)
+        return EXIT_DEGRADED
     except PcsShaperError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -5,6 +5,13 @@ Symbol streams are drawn by inverse-CDF lookup (exact for a discrete
 distribution); noise comes from per-chunk Philox generators keyed by
 ``(seed, chunk_index)``, and the chunk partition depends on the symbol count
 alone, so the counts are a function of the seed and the symbol count.
+
+MAP detection is an interval lookup.  With equal noise variance, the metric
+``ln p_m - (y - r_m)^2 / (2 sigma^2)`` is, up to a term common to all
+symbols, affine in ``y``, so each symbol wins one interval of ``y`` or none.
+The cuts between neighbouring winners are computed once per call (O(M)), and
+each sample is decided by a binary search among them; an exact tie goes to
+the lower index, as an argmax over the metrics would send it.
 """
 from __future__ import annotations
 
@@ -60,37 +67,81 @@ class ErrorStats:
     n_symbols: int = 0
 
 
+def _decision_intervals(means: np.ndarray, probs: np.ndarray,
+                        sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """MAP winners in increasing order of ``y`` and the cuts between them.
+
+    ``means`` must be non-decreasing.  Winner ``winners[i]`` takes
+    ``cuts[i-1] < y <= cuts[i]``: the upper envelope of the lines
+    ``ln p_m + (r_m y - r_m^2 / 2) / sigma^2``, whose neighbours j < k cross at
+    ``(r_j + r_k)/2 + sigma^2 (ln p_j - ln p_k) / (r_k - r_j)``.  Zero-probability
+    symbols are skipped; among equal means the most probable (then the lowest
+    index) wins everywhere.
+    """
+    var = sigma * sigma
+    winners: list[int] = []
+    logs: list[float] = []
+    cuts: list[float] = []
+    for k in np.flatnonzero(probs > 0):
+        log_k = math.log(probs[k])
+        while winners:
+            r_j = means[winners[-1]]
+            if means[k] > r_j:
+                x = 0.5 * (r_j + means[k]) + var * (logs[-1] - log_k) / (means[k] - r_j)
+            else:                   # equal means: k wins everywhere or nowhere
+                x = -math.inf if log_k > logs[-1] else math.inf
+            if x > (cuts[-1] if cuts else -math.inf):
+                break
+            winners.pop()           # j's interval is empty; a tie goes to the lower index
+            logs.pop()
+            del cuts[-1:]
+        if winners:
+            if x == math.inf:
+                continue            # k never beats j
+            cuts.append(x)
+        winners.append(int(k))
+        logs.append(log_k)
+    return np.array(winners, dtype=np.intp), np.array(cuts)
+
+
 def map_detect(y, c: PamConstellation, p, link) -> np.ndarray | int:
     """MAP symbol decision(s): argmax_m ln p_m - (y - r_m)^2 / (2 sigma^2).
 
-    Zero-probability symbols never win; exact ties resolve to the lower index.
-    Accepts a scalar or an array of receive samples.
+    Each symbol's decision region is one interval of ``y`` (or empty), so a
+    sample is decided by ``searchsorted`` among the cuts between neighbouring
+    regions, with ``side="left"``: a sample exactly on a cut goes to the lower
+    index, as an argmax over the metrics sends a tie.  Zero-probability symbols
+    never win.  Accepts a scalar (returns ``int``) or an array of receive
+    samples.
     """
     probs = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
-    means = link.composite_gain * c.amplitudes
-    scalar = np.isscalar(y)
+    winners, cuts = _decision_intervals(link.composite_gain * c.amplitudes,
+                                        probs, link.sigma)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    with np.errstate(divide="ignore"):
-        logp = np.where(probs > 0, np.log(np.maximum(probs, 1e-320)), -np.inf)
-    metric = logp[None, :] - (y_arr[:, None] - means[None, :]) ** 2 \
-        / (2.0 * link.sigma**2)
-    decisions = np.argmax(metric, axis=1)
-    return int(decisions[0]) if scalar else decisions
+    decisions = winners[np.searchsorted(cuts, y_arr, side="left")]
+    return int(decisions[0]) if np.isscalar(y) else decisions
+
+
+def _draw_symbols(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF symbol draw for uniforms ``u`` in [0, 1).
+
+    The CDF is forced to 1 from the last nonzero probability on, so rounding in
+    the cumulative sum can never send a zero-probability symbol.
+    """
+    cdf = np.cumsum(probs)
+    cdf[np.flatnonzero(probs)[-1]:] = 1.0
+    return np.searchsorted(cdf, u, side="right")
 
 
 def _simulate_chunk(cfg: SimConfig, index: int, n: int) -> np.ndarray:
     rng = _chunk_rng(cfg.seed, index)
     probs = cfg.distribution.probs
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    sent = np.searchsorted(cdf, rng.random(n), side="right")
+    sent = _draw_symbols(probs, rng.random(n))
     means = cfg.link.composite_gain * cfg.constellation.amplitudes
     y = means[sent] + cfg.link.sigma * rng.standard_normal(n)
     detected = map_detect(y, cfg.constellation, probs, cfg.link)
     m = cfg.constellation.order_m
-    confusion = np.zeros((m, m), dtype=np.int64)
-    np.add.at(confusion, (sent, detected), 1)
-    return confusion
+    return np.bincount(sent * m + detected, minlength=m * m).reshape(m, m)
 
 
 def _stderr(mean: float, mean_sq: float, n: int) -> float:

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from pcs_shaper.capacity import (
+    _ENTROPY_BLOCK,
     EntropyGrid,
     MixtureModel,
+    _log2_pdf,
+    _standardized,
     avg_secrecy_capacity_mc,
     channel_capacity,
     entropy_mc,
@@ -52,6 +55,26 @@ def test_entropy_matches_sampling_oracle_on_random_mixtures():
         h_quad = mixture_entropy(mm)
         h_mc, se = entropy_mc(mm, 10_000_000, seed=1000 + i)
         assert abs(h_quad - h_mc) <= 3.0 * se
+
+
+def test_entropy_mc_blocking_is_bit_identical_to_unblocked_evaluation():
+    mm = MixtureModel(means=np.array([-1.0, -0.2, 0.0, 0.7, 1.5]), sigma=0.4,
+                      weights=np.array([0.3, 0.1, 0.0, 0.25, 0.35]))
+    chunk = 3 * _ENTROPY_BLOCK + 11                 # several blocks, the last partial
+    n_samples = 2 * chunk + 5                       # three chunks, the last partial
+    mu, w = _standardized(mm)
+    rng = np.random.default_rng(19)
+    total = total_sq = 0.0
+    for lo in range(0, n_samples, chunk):
+        n = min(chunk, n_samples - lo)
+        u = mu[rng.choice(mu.size, size=n, p=w)] + rng.standard_normal(n)
+        h = -_log2_pdf(u, mu, w)
+        total += h.sum()
+        total_sq += (h * h).sum()
+    mean = total / n_samples
+    want = (mean + math.log2(mm.sigma),
+            math.sqrt(max(total_sq / n_samples - mean**2, 0.0) / n_samples))
+    assert entropy_mc(mm, n_samples, seed=19, chunk=chunk) == want
 
 
 def test_grid_agrees_with_adaptive_quadrature():

@@ -8,14 +8,16 @@ import pytest
 
 from pcs_shaper.cli import (
     EXIT_CONFIG,
+    EXIT_DEGRADED,
     EXIT_INFEASIBLE,
+    EXIT_NONCONVERGENCE,
     EXIT_OK,
     ExperimentConfig,
     default_paper_config,
     main,
     run,
 )
-from pcs_shaper.exceptions import ConfigError
+from pcs_shaper.exceptions import ConfigError, NonConvergenceError
 
 
 def mini_config(**overrides) -> dict:
@@ -138,6 +140,23 @@ def test_infeasible_exit_code(tmp_path):
     cfg["solver"] = {**cfg["solver"], "n_starts": 2}
     path = write_config(tmp_path, cfg)
     assert run(str(path), out_dir=str(tmp_path)) == EXIT_INFEASIBLE
+
+
+def test_degraded_regime_exit_code(tmp_path):
+    # an eavesdropper twice as good as the legitimate receiver
+    cfg = mini_config(power_dbm=[28.0])
+    cfg["eve"] = {"quality_ratio": 0.5}
+    path = write_config(tmp_path, cfg)
+    assert run(str(path), out_dir=str(tmp_path)) == EXIT_DEGRADED
+
+
+def test_nonconvergence_exit_code(tmp_path, monkeypatch):
+    def stalled(problem, settings):
+        raise NonConvergenceError("inner solve stalled")
+    monkeypatch.setattr("pcs_shaper.cli.solve", stalled)
+    cfg = mini_config(scenario="design_known", power_dbm=[28.0])
+    path = write_config(tmp_path, cfg)
+    assert run(str(path), out_dir=str(tmp_path)) == EXIT_NONCONVERGENCE
 
 
 def test_main_paper_config_and_validate(capsys):

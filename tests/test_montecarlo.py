@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erfc
 
 from pcs_shaper.channel import LinkBudget, LinkGeometry, channel_gain
@@ -11,7 +12,11 @@ from pcs_shaper.error_rate import PairwiseGeometry, pairwise_error_prob, \
     ser_approx, ser_upper_bound
 from pcs_shaper.exceptions import ConfigError
 from pcs_shaper.montecarlo import (
+    _CHUNK,
     SimConfig,
+    _chunk_rng,
+    _decision_intervals,
+    _draw_symbols,
     map_detect,
     pairwise_error_mc,
     sample_eve_positions,
@@ -51,6 +56,106 @@ def test_map_decisions_satisfy_the_posterior_inequality():
         / (2.0 * link.sigma**2)
     for i, m in enumerate(picks):
         assert np.all(metric[i, m] >= metric[i] - 1e-12)
+
+
+def _argmax_metrics(y, means, probs, sigma):
+    """Brute-force MAP metrics ln p_m - (y - r_m)^2 / (2 sigma^2), one row per sample."""
+    with np.errstate(divide="ignore"):
+        logp = np.where(probs > 0, np.log(np.maximum(probs, 1e-320)), -np.inf)
+    return logp[None, :] - (y[:, None] - means[None, :]) ** 2 / (2.0 * sigma**2)
+
+
+@st.composite
+def _detection_instances(draw):
+    m = draw(st.sampled_from([2, 4, 8, 16]))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                            min_size=m, max_size=m))
+    probs = np.array(weights)
+    if probs.sum() == 0.0:
+        probs[draw(st.integers(0, m - 1))] = 1.0
+    gain = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+    sigma = draw(st.floats(1e-3, 10.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return m, probs / probs.sum(), gain, sigma, seed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_detection_instances())
+def test_map_detect_matches_brute_force_argmax(instance):
+    m, probs, gain, sigma, seed = instance
+    c = build_constellation(m, 1.0)
+    link = LinkBudget(composite_gain=gain, sigma=sigma)
+    means = gain * c.amplitudes
+    _, cuts = _decision_intervals(means, probs, sigma)
+    span = gain + sigma
+    rng = np.random.default_rng(seed)
+    y = np.concatenate([
+        rng.uniform(-3.0 * span, 3.0 * span, size=400),
+        cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
+        means, [-1e6 * span, -1e3 * span, 1e3 * span, 1e6 * span]])
+    metric = _argmax_metrics(y, means, probs, sigma)
+    want = np.argmax(metric, axis=1)
+    got = map_detect(y, c, probs, link)
+    second, first = np.sort(metric, axis=1)[:, -2:].T
+    with np.errstate(invalid="ignore"):
+        clear = (second == -np.inf) | (
+            first - second > 1e-12 * np.maximum(np.abs(first), np.abs(second)))
+    assert np.array_equal(got[clear], want[clear])
+    assert probs[got].min() > 0
+    scalar = map_detect(float(y[0]), c, probs, link)
+    assert type(scalar) is int and scalar == got[0]
+
+
+def test_map_detect_zero_gain_picks_most_probable_lowest_index():
+    c = build_constellation(4, 1.0)
+    link = LinkBudget(composite_gain=0.0, sigma=0.5)
+    y = np.linspace(-3.0, 3.0, 61)
+    assert np.all(map_detect(y, c, np.array([0.1, 0.4, 0.1, 0.4]), link) == 1)
+    assert np.all(map_detect(y, c, np.array([0.0, 0.2, 0.8, 0.0]), link) == 2)
+
+
+def test_map_detect_exact_tie_goes_to_lower_index():
+    c = build_constellation(2, 1.0)
+    link = LinkBudget(composite_gain=1.0, sigma=0.5)
+    # equal priors, means -1 and 1: y = 0 ties, and argmax takes index 0
+    assert map_detect(0.0, c, np.array([0.5, 0.5]), link) == 0
+    assert map_detect(np.nextafter(0.0, 1.0), c, np.array([0.5, 0.5]), link) == 1
+
+
+def test_draw_never_sends_a_zero_probability_symbol():
+    probs = np.array([0.1] * 10 + [0.0] * 6)
+    assert np.cumsum(probs)[9] < 1.0          # the rounding this guards against
+    u = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
+    assert _draw_symbols(probs, u).tolist() == [0, 5, 9]
+
+
+def _reference_confusion(cfg):
+    """Confusion counts from the argmax detector and np.add.at, chunk by chunk."""
+    m = cfg.constellation.order_m
+    probs = cfg.distribution.probs
+    means = cfg.link.composite_gain * cfg.constellation.amplitudes
+    confusion = np.zeros((m, m), dtype=np.int64)
+    for index, lo in enumerate(range(0, cfg.n_symbols, _CHUNK)):
+        n = min(_CHUNK, cfg.n_symbols - lo)
+        rng = _chunk_rng(cfg.seed, index)
+        cdf = np.cumsum(probs)
+        cdf[-1] = 1.0
+        sent = np.searchsorted(cdf, rng.random(n), side="right")
+        y = means[sent] + cfg.link.sigma * rng.standard_normal(n)
+        detected = np.argmax(_argmax_metrics(y, means, probs, cfg.link.sigma), axis=1)
+        np.add.at(confusion, (sent, detected), 1)
+    return confusion
+
+
+def test_confusion_counts_match_argmax_reference_bit_for_bit():
+    c = build_constellation(8, 1.0)
+    link = LinkBudget(composite_gain=1.0, sigma=0.12)
+    p = Distribution(np.array([0.05, 0.2, 0.0, 0.25, 0.1, 0.0, 0.3, 0.1]))
+    cfg = SimConfig(n_symbols=_CHUNK + 7, seed=31, link=link, constellation=c,
+                    distribution=p)
+    stats = simulate_error_rates(cfg)
+    assert stats.ser > 0.01
+    assert np.array_equal(stats.confusion_counts, _reference_confusion(cfg))
 
 
 def test_simulation_noiseless_limit():
