@@ -206,27 +206,25 @@ def pairwise_error_mc(p_m: float, p_n: float, geom: PairwiseGeometry,
     """Direct simulation of the pairwise MAP-losing event, (estimate, stderr).
 
     Transmit symbol m (receive mean 0 by translation, competitor at -d), add
-    unit-scaled noise, and count how often
-    ``p_m f(y|m) <= p_n f(y|n)`` - the event whose closed form is the erfc
-    expression in the analysis module.
+    noise ``n = sigma z``, and count how often ``p_m f(y|m) <= p_n f(y|n)`` -
+    the event whose closed form is the erfc expression in the analysis module.
+    With equal variances the event is the half-line
+    ``d n <= sigma^2 ln(p_n / p_m) - d^2 / 2``, one comparison of ``z`` per
+    sample.  As in the closed form, a competitor with ``p_n = 0`` never wins
+    and, otherwise, a symbol with ``p_m = 0`` always loses; neither draws noise.
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
+    if p_m < 0 or p_n < 0:
+        raise ConfigError("probabilities must be nonnegative")
+    if p_n == 0 or p_m == 0:
+        return (0.0 if p_n == 0 else 1.0), 0.0
     sig, d = geom.sigma, geom.d
+    # z-threshold of the half-line; for d < 0 the inequality flips to z >= t
+    t = sig * (math.log(p_n) - math.log(p_m)) / d - d / (2.0 * sig)
     hits = 0
-    done = 0
-    idx = 0
-    while done < n_samples:
-        size = min(_CHUNK, n_samples - done)
-        noise = sig * _chunk_rng(seed, idx).standard_normal(size)
-        # log-likelihood-ratio event with y = r_m + noise, r_n = r_m - d
-        with np.errstate(divide="ignore"):
-            lhs = math.log(p_m) if p_m > 0 else -math.inf
-            rhs = math.log(p_n) if p_n > 0 else -math.inf
-        stat = lhs - noise**2 / (2.0 * sig**2)
-        comp = rhs - (noise + d) ** 2 / (2.0 * sig**2)
-        hits += int(np.count_nonzero(stat <= comp))
-        done += size
-        idx += 1
+    for idx, lo in enumerate(range(0, n_samples, _CHUNK)):
+        z = _chunk_rng(seed, idx).standard_normal(min(_CHUNK, n_samples - lo))
+        hits += int(np.count_nonzero(z <= t if d > 0 else z >= t))
     est = hits / n_samples
-    return est, math.sqrt(max(est * (1.0 - est), 0.0) / n_samples)
+    return est, math.sqrt(est * (1.0 - est) / n_samples)

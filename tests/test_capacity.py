@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
+from pcs_shaper import capacity
 from pcs_shaper.capacity import (
     _ENTROPY_BLOCK,
     EntropyGrid,
@@ -19,7 +22,7 @@ from pcs_shaper.capacity import (
 )
 from pcs_shaper.channel import LinkBudget
 from pcs_shaper.constellation import build_constellation
-from pcs_shaper.exceptions import ConfigError, DegradedRegimeError
+from pcs_shaper.exceptions import ConfigError, DegradedRegimeError, NonConvergenceError
 
 from conftest import dirichlet_interior, links_at_dbm
 
@@ -42,6 +45,67 @@ def test_two_far_components_add_one_bit():
                       weights=np.array([0.5, 0.5]))
     want = gaussian_entropy_bits(0.01) + 1.0
     assert mixture_entropy(mm) == pytest.approx(want, abs=1e-6)
+
+
+def quad_mixture_entropy(mm: MixtureModel) -> float:
+    """Reference: scipy's adaptive quadrature over [min mu - 10, max mu + 10]."""
+    mu, w = _standardized(mm)
+
+    def integrand(u):
+        lg = _log2_pdf(u, mu, w)[0]
+        return -(2.0 ** lg) * lg
+
+    points = [float(x) for x in np.unique(mu)] if mu.size <= 50 else None
+    val, err = quad(integrand, mu.min() - 10.0, mu.max() + 10.0, points=points,
+                    limit=max(200, 4 * mu.size), epsabs=1e-10, epsrel=1e-11)
+    assert err <= 1e-9
+    return val + math.log2(mm.sigma)
+
+
+@st.composite
+def _mixtures(draw):
+    m = draw(st.integers(1, 16))
+    sigma = 10.0 ** draw(st.floats(-7.0, 1.0))
+    span = draw(st.floats(0.0, 300.0))
+    mu = draw(st.floats(-1e3, 1e3)) + span * np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    copies = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    for i in range(1, m):
+        if copies[i]:
+            mu[i] = mu[i - 1]                       # duplicated mean
+    weights = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                                     min_size=m, max_size=m)))
+    if weights.sum() == 0.0:
+        weights[draw(st.integers(0, m - 1))] = 1.0
+    return MixtureModel(means=mu * sigma, sigma=sigma, weights=weights / weights.sum())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_mixtures())
+def test_entropy_matches_scipy_quadrature(mm):
+    assert mixture_entropy(mm) == pytest.approx(quad_mixture_entropy(mm), abs=1e-9)
+
+
+def test_components_a_million_sigma_apart_add_one_bit(monkeypatch):
+    sizes = []
+
+    def recording(u, mu, w):
+        sizes.append(np.size(u))
+        return _log2_pdf(u, mu, w)
+
+    monkeypatch.setattr(capacity, "_log2_pdf", recording)
+    mm = MixtureModel(means=np.array([0.0, 1e6 * 0.3]), sigma=0.3,
+                      weights=np.array([0.5, 0.5]))
+    assert mixture_entropy(mm) == pytest.approx(gaussian_entropy_bits(0.3) + 1.0, abs=1e-9)
+    assert max(sizes) < 10_000                      # the 1e6-sigma gap gets no panels
+
+
+def test_entropy_quadrature_raises_when_the_budget_is_unreachable(monkeypatch):
+    monkeypatch.setattr(capacity, "_QUAD_ABS_TOL", 0.0)
+    mm = MixtureModel(means=np.array([-0.4, 0.5]), sigma=0.2,
+                      weights=np.array([0.3, 0.7]))
+    with pytest.raises(NonConvergenceError):
+        mixture_entropy(mm)
 
 
 def test_entropy_matches_sampling_oracle_on_random_mixtures():

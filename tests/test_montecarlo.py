@@ -303,6 +303,39 @@ def test_pairwise_mc_agrees_with_closed_form():
     assert abs(est - exact) <= 4.0 * se
 
 
+def _two_likelihood_hits(p_m, p_n, geom, n_samples, seed):
+    """Reference: both log-likelihoods per sample on the same Philox streams."""
+    sig, d = geom.sigma, geom.d
+    hits = 0
+    for idx, lo in enumerate(range(0, n_samples, _CHUNK)):
+        noise = sig * _chunk_rng(seed, idx).standard_normal(min(_CHUNK, n_samples - lo))
+        stat = math.log(p_m) - noise**2 / (2.0 * sig**2)
+        comp = math.log(p_n) - (noise + d) ** 2 / (2.0 * sig**2)
+        hits += int(np.count_nonzero(stat <= comp))
+    return hits
+
+
+@pytest.mark.parametrize("sigma", [1e-6, 0.3, 20.0])
+@pytest.mark.parametrize("d_over_sigma", [1.5, -0.7])
+def test_pairwise_mc_counts_match_two_likelihood_event(sigma, d_over_sigma):
+    geom = PairwiseGeometry(d=d_over_sigma * sigma, sigma=sigma)
+    n = _CHUNK + 7                                  # two chunks, the last partial
+    for seed, (p_m, p_n) in enumerate([(0.25, 0.75), (0.6, 0.4), (1e-3, 0.5)]):
+        est, se = pairwise_error_mc(p_m, p_n, geom, n, seed=seed)
+        hits = _two_likelihood_hits(p_m, p_n, geom, n, seed)
+        assert est == hits / n
+        assert se == math.sqrt(est * (1.0 - est) / n)
+
+
+def test_pairwise_mc_zero_probabilities_follow_closed_form():
+    geom = PairwiseGeometry(d=-0.8, sigma=0.5)
+    for p_m, p_n in [(0.0, 0.0), (0.4, 0.0), (0.0, 0.4)]:
+        want = pairwise_error_prob(p_m, p_n, geom)
+        assert pairwise_error_mc(p_m, p_n, geom, 1000, seed=3) == (want, 0.0)
+    with pytest.raises(ConfigError):
+        pairwise_error_mc(-0.1, 0.4, geom, 1000)
+
+
 def test_sim_config_validation():
     c = build_constellation(4, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.5)
