@@ -5,19 +5,25 @@ competitor n at pairwise distance ``d = h*gamma*eta*(a_m - a_n)`` is
 
     P_{m,n} = 1/2 * erfc( (2 sigma^2 ln(p_m/p_n) + d^2) / (2 sqrt(2) sigma |d|) ).
 
-Summing over ordered competitor pairs gives a union upper bound on the SER;
-keeping only adjacent competitors gives the closed-form approximation.  Both,
-scaled by the Gray-coding bit factor, are concave in the probability vector,
-which is what the sequential linearization in the solver relies on.
+Both bounds are the sum of ``p_m P_{m,n}`` over a set of ordered pairs: every
+``n != m`` for the union upper bound on the SER, only ``|m - n| = 1`` for the
+closed-form approximation.  One kernel, ``_pair_sum``, evaluates either sum or
+its gradient (the formula is in its docstring); the public bounds and
+gradients differ only in the pair set they pass.  Scaled by the Gray-coding
+bit factor, both are concave in the probability vector, which is what the
+sequential linearization in the solver relies on.
 
 Terms weighted by p_m = 0 are defined as zero (an inactive symbol is never
 transmitted), and a competitor with p_n = 0 never wins the comparison; the
-erfc limits at +/- infinity realize both conventions.
+kernel drops every pair with a zero probability on either side, and the
+scalar ``pairwise_error_prob`` realizes the same conventions through the erfc
+limits at +/- infinity.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc
@@ -86,27 +92,59 @@ def _as_probs(p) -> np.ndarray:
     return p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
 
 
-def _pair_args(c: PamConstellation, p: np.ndarray, link) -> np.ndarray:
-    """Matrix of erfc arguments for all ordered pairs; +inf on dead entries."""
+def _check_interior(p: np.ndarray) -> np.ndarray:
+    if p.min() < ACTIVE_SUPPORT_FLOOR:
+        raise ConfigError(
+            f"gradient requires all probabilities >= {ACTIVE_SUPPORT_FLOOR}; "
+            f"clamp the iterate first (min entry {p.min():.3e})")
+    return p
+
+
+@lru_cache(maxsize=None)
+def _pairs(m: int, adjacent: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pairs (rows, cols): every n != m, or only |m - n| = 1."""
+    rows, cols = np.nonzero(~np.eye(m, dtype=bool))
+    if adjacent:
+        keep = np.abs(rows - cols) == 1
+        rows, cols = rows[keep], cols[keep]
+    rows.setflags(write=False)                      # shared by every caller
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def _pair_sum(c: PamConstellation, p, link, adjacent: bool, grad: bool):
+    """SER sum over ordered pairs (m, n) of p_m P_{m,n}, or its gradient.
+
+    ``rows``/``cols`` list the pairs (m, n); pairs with a zero probability on
+    either side are dropped.  With ``u = u_mn`` the erfc argument above and
+    ``g = sigma/sqrt(2 pi) * exp(-u^2) / |d|``,
+
+        value = probs[rows] @ (1/2 erfc(u))
+        grad  = bincount(rows, 1/2 erfc(u) - g) + bincount(cols, p_m/p_n * g):
+
+    the direct term and the pull through ln p_m land on m, the pull through
+    ln p_n lands on n.  The gradient requires an interior point.
+    """
+    probs = _check_interior(_as_probs(p)) if grad else _as_probs(p)
     m = c.order_m
+    rows, cols = _pairs(m, adjacent)
+    live = (probs[rows] > 0) & (probs[cols] > 0)
+    rows, cols = rows[live], cols[live]
     sig = link.sigma
-    d = link.composite_gain * (c.amplitudes[:, None] - c.amplitudes[None, :])
-    with np.errstate(divide="ignore"):
-        logp = np.where(p > 0, np.log(np.maximum(p, 1e-320)), -np.inf)
-    args = np.full((m, m), np.inf)
-    off = ~np.eye(m, dtype=bool)
-    live = off & (p[:, None] > 0) & (p[None, :] > 0)
-    rows, cols = np.nonzero(live)
-    args[live] = (2.0 * sig**2 * (logp[rows] - logp[cols]) + d[live] ** 2) \
-        / (2.0 * _SQRT2 * sig * np.abs(d[live]))
-    return args
+    d = np.abs(link.composite_gain * (c.amplitudes[rows] - c.amplitudes[cols]))
+    logp = np.log(probs, where=probs > 0, out=np.zeros(m))
+    u = (2.0 * sig**2 * (logp[rows] - logp[cols]) + d * d) / (2.0 * _SQRT2 * sig * d)
+    q = 0.5 * erfc(u)
+    if not grad:
+        return float(probs[rows] @ q)
+    g = sig / math.sqrt(2.0 * math.pi) * np.exp(-u * u) / d
+    return (np.bincount(rows, q - g, minlength=m)
+            + np.bincount(cols, probs[rows] / probs[cols] * g, minlength=m))
 
 
 def ser_upper_bound(c: PamConstellation, p, link) -> float:
     """Union bound sum_m p_m sum_{n != m} P_{m,n}; may exceed 1 at low SNR."""
-    probs = _as_probs(p)
-    args = _pair_args(c, probs, link)
-    return float(probs @ (0.5 * erfc(args)).sum(axis=1))
+    return _pair_sum(c, p, link, adjacent=False, grad=False)
 
 
 def ber_upper_bound(c: PamConstellation, p, link) -> float:
@@ -115,25 +153,8 @@ def ber_upper_bound(c: PamConstellation, p, link) -> float:
 
 
 def ser_approx(c: PamConstellation, p, link) -> float:
-    """Adjacent-competitor approximation of the SER.
-
-    Only the immediate neighbors of each symbol enter the sum; the missing
-    neighbors of the edge symbols contribute exactly zero.
-    """
-    probs = _as_probs(p)
-    args = _pair_args(c, probs, link)
-    total = 0.0
-    m = c.order_m
-    for i in range(m):
-        if probs[i] == 0.0:
-            continue
-        acc = 0.0
-        if i > 0:
-            acc += 0.5 * erfc(args[i, i - 1])
-        if i < m - 1:
-            acc += 0.5 * erfc(args[i, i + 1])
-        total += probs[i] * acc
-    return float(total)
+    """Adjacent-competitor approximation of the SER: sum over |m - n| = 1."""
+    return _pair_sum(c, p, link, adjacent=True, grad=False)
 
 
 def ber_approx(c: PamConstellation, p, link) -> float:
@@ -141,65 +162,14 @@ def ber_approx(c: PamConstellation, p, link) -> float:
     return ser_approx(c, p, link) / c.bits_per_symbol
 
 
-def _check_interior(p: np.ndarray):
-    if p.min() < ACTIVE_SUPPORT_FLOOR:
-        raise ConfigError(
-            f"gradient requires all probabilities >= {ACTIVE_SUPPORT_FLOOR}; "
-            f"clamp the iterate first (min entry {p.min():.3e})")
-
-
 def grad_ber_upper(c: PamConstellation, p, link) -> np.ndarray:
-    """Analytic gradient of ber_upper_bound at an interior point.
-
-    Component m collects the erfc terms it multiplies directly, the chain-rule
-    pull of its own log ratio, and the reverse pull through every pair (n, m):
-
-        (1/log2 M) * [ 1/2 sum_n erfc(u_mn)
-                       - sigma/sqrt(2 pi) sum_n exp(-u_mn^2)/|d_mn|
-                       + sigma/sqrt(2 pi) sum_n (p_n/p_m) exp(-u_nm^2)/|d_mn| ].
-    """
-    probs = _as_probs(p)
-    _check_interior(probs)
-    sig = link.sigma
-    d = link.composite_gain * (c.amplitudes[:, None] - c.amplitudes[None, :])
-    off = ~np.eye(c.order_m, dtype=bool)
-    logp = np.log(probs)
-    u = np.zeros_like(d)
-    u[off] = (2.0 * sig**2 * (logp[:, None] - logp[None, :])[off] + d[off] ** 2) \
-        / (2.0 * _SQRT2 * sig * np.abs(d[off]))
-    coef = sig / math.sqrt(2.0 * math.pi)
-    inv_d = np.zeros_like(d)
-    inv_d[off] = 1.0 / np.abs(d[off])
-    gauss = np.exp(-u**2) * inv_d
-    term1 = 0.5 * np.where(off, erfc(u), 0.0).sum(axis=1)
-    term2 = coef * gauss.sum(axis=1)
-    ratio = probs[None, :] / probs[:, None]
-    term3 = coef * (ratio * gauss.T).sum(axis=1)
-    return (term1 - term2 + term3) / c.bits_per_symbol
+    """Analytic gradient of ber_upper_bound at an interior point."""
+    return _pair_sum(c, p, link, adjacent=False, grad=True) / c.bits_per_symbol
 
 
 def grad_ber_approx(c: PamConstellation, p, link) -> np.ndarray:
     """Analytic gradient of ber_approx (adjacent pairs only), interior points."""
-    probs = _as_probs(p)
-    _check_interior(probs)
-    m = c.order_m
-    sig = link.sigma
-    delta = abs(link.composite_gain * (c.amplitudes[1] - c.amplitudes[0]))
-    denom = 2.0 * _SQRT2 * sig * delta
-    coef = sig / (_SQRT2 * delta * math.sqrt(math.pi))
-    grad = np.zeros(m)
-    for i in range(m):
-        acc = 0.0
-        for j in (i - 1, i + 1):
-            if not 0 <= j < m:
-                continue
-            u_ij = (2.0 * sig**2 * math.log(probs[i] / probs[j]) + delta**2) / denom
-            u_ji = (2.0 * sig**2 * math.log(probs[j] / probs[i]) + delta**2) / denom
-            acc += 0.5 * erfc(u_ij)
-            acc -= coef * math.exp(-u_ij**2)
-            acc += coef * (probs[j] / probs[i]) * math.exp(-u_ji**2)
-        grad[i] = acc
-    return grad / c.bits_per_symbol
+    return _pair_sum(c, p, link, adjacent=True, grad=True) / c.bits_per_symbol
 
 
 def pair_term_value(p_m: float, p_n: float, geom: PairwiseGeometry) -> float:

@@ -16,8 +16,8 @@ import numpy as np
 from .channel import LinkBudget
 from .constellation import ConstraintSet, build_constellation
 from .exceptions import ConfigError
-from .montecarlo import map_detect
-from .solver import CccpSettings, DesignProblem, SolveResult, VARIANTS, solve
+from .montecarlo import _draw_symbols, map_detect
+from .solver import CccpSettings, DesignProblem, SolveResult, solve
 
 __all__ = ["PcsShaper"]
 
@@ -69,8 +69,6 @@ class PcsShaper:
         ones.  ``peak_amplitude`` defaults to ``dc_bias`` (symmetric drive
         range).
         """
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}")
         a = dc_bias if peak_amplitude is None else peak_amplitude
         constellation = build_constellation(self.modulation_order, a)
         constraints = ConstraintSet(pre_fec_threshold=self.pre_fec_threshold,
@@ -107,12 +105,9 @@ class PcsShaper:
         return map_detect(y, self.constellation_, self.probabilities_, self.bob_link_)
 
     def sample(self, n: int, seed: int = 0) -> np.ndarray:
-        """Draw n shaped symbol indices (inverse-CDF, exact)."""
+        """Draw n shaped symbol indices (inverse-CDF, never an inactive symbol)."""
         self._check_fitted()
-        rng = np.random.default_rng(seed)
-        cdf = np.cumsum(self.probabilities_)
-        cdf[-1] = 1.0
-        return np.searchsorted(cdf, rng.random(n), side="right")
+        return _draw_symbols(self.probabilities_, np.random.default_rng(seed).random(n))
 
     def score(self) -> float:
         """Final design objective (variant-dependent units)."""

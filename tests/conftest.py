@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pcs_shaper.channel import (
     LambertianLed,
@@ -13,6 +14,11 @@ from pcs_shaper.channel import (
     eve_link_from_quality_ratio,
     link_budget_from_geometry,
 )
+
+# Every property test is reproducible and independent of earlier runs: a fixed
+# example sequence, no example database, and no per-example deadline.
+settings.register_profile("pcs_shaper", deadline=None, derandomize=True, database=None)
+settings.load_profile("pcs_shaper")
 
 
 @pytest.fixture(scope="session")

@@ -80,7 +80,7 @@ def _mixtures(draw):
     return MixtureModel(means=mu * sigma, sigma=sigma, weights=weights / weights.sum())
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(_mixtures())
 def test_entropy_matches_scipy_quadrature(mm):
     assert mixture_entropy(mm) == pytest.approx(quad_mixture_entropy(mm), abs=1e-9)

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erfc
 
 from pcs_shaper.channel import LinkBudget
-from pcs_shaper.constellation import Distribution, build_constellation
+from pcs_shaper.constellation import Distribution, PamConstellation, build_constellation
 from pcs_shaper.error_rate import (
     PairwiseGeometry,
     ber_approx,
@@ -184,9 +185,14 @@ def test_gradient_rejects_boundary_points():
 def test_approx_gradient_matches_finite_differences():
     rng = np.random.default_rng(47)
     c = build_constellation(8, 3.0)
-    for _ in range(10):
-        link = random_link(rng)
-        p = dirichlet_interior(rng, 8, floor=0.02)
+    cases = [(c, random_link(rng), dirichlet_interior(rng, 8, floor=0.02))
+             for _ in range(10)]
+    unequal = PamConstellation(order_m=4, peak_a=1.0,
+                               amplitudes=np.array([-1.0, -0.6, 0.1, 1.0]),
+                               gray_labels=build_constellation(4, 1.0).gray_labels)
+    cases.append((unequal, LinkBudget(composite_gain=1.0, sigma=0.3),
+                  np.array([0.2, 0.3, 0.35, 0.15])))
+    for c, link, p in cases:
         analytic = grad_ber_approx(c, p, link)
         numeric = _fd_gradient(lambda q: ber_approx(c, q, link), p)
         assert np.abs(analytic - numeric).max() \
@@ -243,3 +249,46 @@ def test_first_order_expansion_majorizes():
         tangent = ber_upper_bound(c, p0, link) \
             + grad_ber_upper(c, p0, link) @ (p - p0)
         assert ber_upper_bound(c, p, link) <= tangent + 1e-12
+
+
+@st.composite
+def _bound_instances(draw):
+    """M-PAM with equal or unequal spacing, probabilities that may be zero."""
+    m = draw(st.sampled_from([2, 4, 8, 16]))
+    grid = build_constellation(m, 1.0)
+    c = grid
+    if draw(st.booleans()):
+        gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m - 1,
+                                      max_size=m - 1)))
+        steps = np.concatenate([[0.0], np.cumsum(gaps)])
+        amps = np.clip(2.0 * steps / steps[-1] - 1.0, -1.0, 1.0)
+        c = PamConstellation(order_m=m, peak_a=1.0, amplitudes=amps,
+                             gray_labels=grid.gray_labels)
+    probs = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                                   min_size=m, max_size=m)))
+    if probs.sum() == 0.0:
+        probs[draw(st.integers(0, m - 1))] = 1.0
+    link = LinkBudget(composite_gain=draw(st.floats(0.1, 3.0)),
+                      sigma=draw(st.floats(0.05, 2.0)))
+    return c, probs / probs.sum(), link
+
+
+def _scalar_pair_sum(c, p, link, adjacent):
+    """sum_m p_m sum_n P_{m,n} from the scalar closed form, one pair at a time."""
+    a = c.amplitudes
+    return sum(p[m] * pairwise_error_prob(
+                   p[m], p[n], PairwiseGeometry(link.composite_gain * (a[m] - a[n]),
+                                                link.sigma))
+               for m in range(c.order_m) for n in range(c.order_m)
+               if n != m and (abs(m - n) == 1 or not adjacent))
+
+
+@settings(max_examples=200)
+@given(_bound_instances())
+def test_bounds_equal_the_scalar_pairwise_sums(instance):
+    c, p, link = instance
+    # abs: an erfc tail below the normal range (1e-300) has no relative precision
+    assert ser_upper_bound(c, p, link) == pytest.approx(
+        _scalar_pair_sum(c, p, link, adjacent=False), rel=1e-12, abs=1e-300)
+    assert ser_approx(c, p, link) == pytest.approx(
+        _scalar_pair_sum(c, p, link, adjacent=True), rel=1e-12, abs=1e-300)

@@ -79,7 +79,7 @@ def _detection_instances(draw):
     return m, probs / probs.sum(), gain, sigma, seed
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(_detection_instances())
 def test_map_detect_matches_brute_force_argmax(instance):
     m, probs, gain, sigma, seed = instance

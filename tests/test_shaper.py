@@ -66,3 +66,15 @@ def test_fit_rejects_unknown_variant(receiver, noise_params):
     est = PcsShaper(variant="telepathy")
     with pytest.raises(ConfigError):
         est.fit(bob, eve, dc_bias=led.dc_bias)
+
+
+def test_sample_never_draws_an_inactive_symbol(monkeypatch):
+    class LastUniform:
+        def random(self, n):
+            return np.full(n, np.nextafter(1.0, 0.0))
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: LastUniform())
+    est = PcsShaper(modulation_order=16)
+    est.result_ = None
+    est.probabilities_ = np.array([0.1] * 10 + [0.0] * 6)
+    assert np.array_equal(est.sample(3), [9, 9, 9])

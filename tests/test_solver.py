@@ -211,13 +211,13 @@ def _check_projection_against_oracle(v, rows, symmetric):
     assert np.abs(got - want).max() < 1e-6
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(_projection_instances(max_m=8, symmetric=False))
 def test_projector_matches_oracle_with_slab_and_row(instance):
     _check_projection_against_oracle(*instance, symmetric=False)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(_projection_instances(max_m=6, symmetric=True))
 def test_projector_matches_oracle_in_symmetric_mode(instance):
     _check_projection_against_oracle(*instance, symmetric=True)
