@@ -11,11 +11,13 @@ average-eavesdropper bound), the offending term is minorized by its tangent in
 an auxiliary variable.  Every accepted iterate is feasible and the objective
 trace is non-decreasing.
 
-The inner concave maximizations use projected-gradient ascent with
-Barzilai-Borwein steps, an Armijo backtracking safeguard, and an exact
-projection onto the simplex intersected with the mirror-symmetry subspace
-(symmetric mode) and at most two rows ``lo <= g @ p <= hi``: the flicker slab
-and the current reliability tangent.  The projection is the sort-based simplex
+The inner concave maximizations use the nonmonotone spectral projected
+gradient: Barzilai-Borwein steps, backtracking along the projected direction
+against the least of the last ten accepted values (Grippo-Lampariello-Lucidi),
+a stop when the best value stalls, and an exact projection onto the simplex
+intersected with the mirror-symmetry subspace (symmetric mode) and at most two
+rows ``lo <= g @ p <= hi``: the flicker slab and the current reliability
+tangent.  The projection is the sort-based simplex
 projection of ``v - theta @ G`` at the rows' KKT multipliers theta.  Each
 multiplier is the root of a monotone piecewise-linear function of one
 variable, found by bracketed Newton steps whose slopes come from the simplex
@@ -27,6 +29,7 @@ involved.
 from __future__ import annotations
 
 import math
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +58,12 @@ VARIANTS = ("known_csi", "unknown_csi", "unknown_csi_symmetric", "qos_max_eve_be
 
 _FEAS_TOL = 1e-13       # projection constraint-violation target
 _MAX_ROOT_STEPS = 200    # Newton/bisection steps per multiplier search
-_ARMIJO = 1e-4
+_ARMIJO = 1e-4           # sufficient-ascent fraction of the directional derivative
 _MAX_BACKTRACKS = 60
+_GLL_MEMORY = 10         # accepted values behind the nonmonotone reference
+_STALL_REL = 1e-7        # best-value rise over _GLL_MEMORY iterations that is a stall
+_MIN_STEP = 1e-17        # inf-norm displacement below which a step has collapsed
+_MIN_SPECTRAL = 1e-14    # least spectral step
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +114,13 @@ class DesignProblem:
 
 @dataclass
 class SolveResult:
+    """The best start's design, and one ``per_start`` dict per start.
+
+    A feasible start's dict holds ``iterations``, ``converged``,
+    ``objective``, ``trace`` and ``inner_stops``: how many of its outer
+    iterations' inner solves ended for each reason of ``_pg_ascent``.
+    """
+
     p_opt: Distribution
     objective: float
     objective_trace: list[float]
@@ -275,47 +289,82 @@ def _kkt_residual(p: np.ndarray, g: np.ndarray, project) -> float:
 
 
 def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
-               kkt_tol: float) -> tuple[np.ndarray, float, bool]:
-    """Monotone projected-gradient ascent; returns (point, value, kkt_met)."""
+               kkt_tol: float) -> tuple[np.ndarray, float, str]:
+    """Nonmonotone spectral projected-gradient ascent (Birgin-Martinez-Raydan).
+
+    Each iteration projects one spectral step, ``d = P(p + lam g) - p``, and
+    backtracks along the segment ``p + alpha d``, which is feasible by
+    convexity, until the value clears the least of the last ``_GLL_MEMORY``
+    accepted values by the Armijo margin (the Grippo-Lampariello-Lucidi
+    reference).  A direction with no ascent is retried once at the longest
+    step.  Returns the best point evaluated, its value and why the loop
+    stopped: ``"kkt"`` when the KKT residual at that point is within
+    ``kkt_tol``, else ``"stalled"`` (the best value rose by at most
+    ``_STALL_REL`` relative over the last ``_GLL_MEMORY`` accepted
+    iterations), ``"no_ascent"`` (no ascent direction, or the backtrack
+    collapsed) or ``"iter_cap"``.
+    """
     p = project(np.asarray(x0, dtype=float))
     f, g = value_and_grad(p)
-    step = 1.0 / max(np.abs(g).max(), 1.0)
+    best, tested = (p, f, g), None
+    recent = deque([f], maxlen=_GLL_MEMORY)
+    best_history = deque([f], maxlen=_GLL_MEMORY + 1)
+
+    def kkt_at_best() -> bool:
+        """The KKT test at the best point, made once per best point."""
+        nonlocal tested
+        if tested is best:
+            return False
+        tested = best
+        return _kkt_residual(best[0], best[2], project) <= kkt_tol
+
+    def stop(reason: str):
+        return best[0], best[1], "kkt" if kkt_at_best() else reason
+
+    lam = 1.0 / max(np.abs(g).max(), 1.0)
     for _ in range(max_iter):
-        if _kkt_residual(p, g, project) <= kkt_tol:
-            return p, f, True
-        # cap the trial displacement at a few simplex diameters
+        if kkt_at_best():
+            return best[0], best[1], "kkt"
+        # a displacement of a few simplex diameters reaches every face; a
+        # short step can drown in the projection's rounding, so retry long
         cap = 4.0 / max(np.abs(g).max(), 1e-12)
-        cand = project(p + min(step, cap) * g)
-        d = cand - p
-        gd = g @ d
-        if gd <= 0 or np.abs(d).max() < 1e-17:
-            step = min(step * 4.0, 1e12)
-            cand = project(p + min(step, cap) * g)
-            d = cand - p
-            gd = g @ d
-            if gd <= 0 or np.abs(d).max() < 1e-17:
-                return p, f, _kkt_residual(p, g, project) <= kkt_tol
-        fc, gc = value_and_grad(cand)
-        backtracks = 0
-        while fc < f + _ARMIJO * gd and backtracks < _MAX_BACKTRACKS:
-            step *= 0.5
-            cand = project(p + min(step, cap) * g)
-            d = cand - p
-            gd = g @ d
-            if np.abs(d).max() < 1e-17:
+        for lam in (min(lam, cap), cap):
+            d = project(p + lam * g) - p
+            gd = float(g @ d)
+            if gd > 0 and np.abs(d).max() >= _MIN_STEP:
                 break
+        else:
+            return stop("no_ascent")
+        floor = min(recent)
+        alpha = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            cand = p + alpha * d
             fc, gc = value_and_grad(cand)
-            backtracks += 1
-        if fc <= f and backtracks >= _MAX_BACKTRACKS:
-            return p, f, _kkt_residual(p, g, project) <= kkt_tol
-        s = cand - p
-        y = gc - g
-        sy = s @ y
+            # ties move the best point too: on the plateau that rounding
+            # leaves near the optimum they give the newest point the KKT test
+            if fc >= best[1]:
+                best = (cand, fc, gc)
+            if fc >= floor + _ARMIJO * alpha * gd:
+                break
+            # safeguarded maximizer of the quadratic through f, gd and fc
+            curv = fc - f - alpha * gd
+            alpha = min(max(-0.5 * alpha * alpha * gd / curv, 0.1 * alpha), 0.5 * alpha) \
+                if curv < 0 else 0.5 * alpha
+            if alpha * np.abs(d).max() < _MIN_STEP:
+                return stop("no_ascent")
+        else:
+            return stop("no_ascent")
+        s = alpha * d
+        sy = float(s @ (gc - g))
+        # spectral (Barzilai-Borwein) step; concave: s.y <= 0
+        lam = max((s @ s) / -sy, _MIN_SPECTRAL) if sy < 0 else 2.0 * alpha * lam
         p, f, g = cand, fc, gc
-        # Barzilai-Borwein step for the next trial (concave: s.y <= 0)
-        step = min(max((s @ s) / (-sy), 1e-14), 1e12) if sy < -1e-300 \
-            else min(step * 2.0, 1e12)
-    return p, f, _kkt_residual(p, g, project) <= kkt_tol
+        recent.append(f)
+        best_history.append(best[1])
+        if len(best_history) > _GLL_MEMORY \
+                and best[1] - best_history[0] <= _STALL_REL * abs(best[1]):
+            return stop("stalled")
+    return stop("iter_cap")
 
 
 def inner_solve(objective, n: int, rows=(), symmetric: bool = False,
@@ -332,10 +381,10 @@ def inner_solve(objective, n: int, rows=(), symmetric: bool = False,
     """
     project = _Projector(rows, symmetric)
     start = np.full(n, 1.0 / n) if x0 is None else np.asarray(x0, dtype=float)
-    p, _, kkt_ok = _pg_ascent(objective, project, start, max_iter, kkt_tol)
-    if not kkt_ok:
+    p, _, reason = _pg_ascent(objective, project, start, max_iter, kkt_tol)
+    if reason != "kkt":
         raise NonConvergenceError(
-            f"inner solve stalled above the KKT tolerance {kkt_tol}")
+            f"inner solve stopped ({reason}) above the KKT tolerance {kkt_tol}")
     return Distribution(project_to_simplex(p))
 
 
@@ -496,6 +545,7 @@ def _run_single_start(obj: _Objective, start: np.ndarray, start_index: int,
     if p is None:
         return None
     trace = [obj.true_value(p)]
+    inner_stops = Counter()
     converged = False
     iterations = settings.max_iters
     for k in range(1, settings.max_iters + 1):
@@ -504,8 +554,9 @@ def _run_single_start(obj: _Objective, start: np.ndarray, start_index: int,
         project.set_row(len(slab), tangent.coef, -math.inf,
                         thr - margin - tangent.offset)
         fg = obj.surrogate(p)
-        p_new, _, _ = _pg_ascent(fg, project, p, settings.inner_max_iter,
-                                 settings.inner_kkt_tol)
+        p_new, _, reason = _pg_ascent(fg, project, p, settings.inner_max_iter,
+                                      settings.inner_kkt_tol)
+        inner_stops[reason] += 1
         trace.append(obj.true_value(p_new))
         p = p_new
         denom = max(abs(trace[-2]), 1e-12)
@@ -513,7 +564,7 @@ def _run_single_start(obj: _Objective, start: np.ndarray, start_index: int,
             converged = True
             iterations = k
             break
-    return p, trace, iterations, converged, start_index
+    return p, trace, iterations, converged, start_index, dict(inner_stops)
 
 
 def _feasibility_report(problem: DesignProblem, p: np.ndarray) -> dict[str, float]:
@@ -553,10 +604,11 @@ def solve(problem: DesignProblem, settings: CccpSettings | None = None) -> Solve
         if outcome is None:
             per_start.append({"start_index": idx, "feasible": False})
             continue
-        p, trace, iterations, converged, start_index = outcome
+        p, trace, iterations, converged, start_index, inner_stops = outcome
         per_start.append({"start_index": idx, "feasible": True,
                           "iterations": iterations, "converged": converged,
-                          "objective": trace[-1], "trace": trace})
+                          "objective": trace[-1], "trace": trace,
+                          "inner_stops": inner_stops})
         if best is None or trace[-1] > best[1][-1]:
             best = (p, trace, iterations, converged, start_index)
     if best is None:

@@ -16,7 +16,9 @@ from pcs_shaper.exceptions import ConfigError, DegradedRegimeError, InfeasibleEr
 from pcs_shaper.solver import (
     CccpSettings,
     DesignProblem,
+    _Objective,
     _Projector,
+    _pg_ascent,
     inner_solve,
     linearized_ber_constraint,
     project_to_simplex,
@@ -136,6 +138,51 @@ def test_inner_solve_symmetric_subspace():
     assert np.abs(symmetry_residual(out.probs)).max() < 1e-12
     sym_target = 0.5 * (target + target[::-1])
     assert np.abs(out.probs - sym_target).max() < 1e-8
+
+
+def test_pg_ascent_returns_the_value_of_the_point_it_returns():
+    # the gradient points uphill while every move lowers the value, so each
+    # backtrack fails until the step collapses
+    x0 = np.full(4, 0.25)
+    uphill = np.array([1.0, -1.0, 0.5, -0.5])
+
+    def fg(p):
+        return -float(np.abs(p - x0).sum()), uphill
+
+    p, f, *_ = _pg_ascent(fg, _Projector(), x0, 5, 1e-8)
+    assert f == fg(p)[0]
+    assert f >= fg(x0)[0]
+
+
+@st.composite
+def _concave_quadratics(draw):
+    """(Q, c, row): a strongly concave quadratic and a feasible ``g @ p <= hi``."""
+    m = draw(st.integers(2, 8))
+    w = np.array([draw(_vectors(m, 1.0)) for _ in range(m)])
+    g = draw(_vectors(m, 1.0))
+    assume(np.ptp(g) > 0.1)
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+    inside = np.array(weights) / sum(weights)
+    return -(w @ w.T) - 0.5 * np.eye(m), draw(_vectors(m, 2.0)), \
+        (g, -math.inf, float(g @ inside))
+
+
+@settings(max_examples=60)
+@given(_concave_quadratics())
+def test_pg_ascent_returns_the_best_value_and_the_optimum_at_kkt(instance):
+    q_mat, c_vec, row = instance
+    seen = []
+
+    def fg(p):
+        seen.append(float(0.5 * p @ q_mat @ p + c_vec @ p))
+        return seen[-1], q_mat @ p + c_vec
+
+    m = c_vec.size
+    p, f, reason = _pg_ascent(fg, _Projector([row]), np.full(m, 1.0 / m), 3000, 1e-10)
+    assert f == max(seen)
+    if reason == "kkt":
+        _, want = qp_oracle_max(q_mat, c_vec, row[0][None, :], np.array([row[2]]))
+        assert np.abs(p - want).max() < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +355,27 @@ def test_traces_monotone_and_feasible(receiver, noise_params):
                 <= 3.8e-3 + 1e-8
             assert res.feasibility["simplex_sum_error"] < 1e-6
             assert res.iterations <= 50
+
+
+def test_qos_inner_solves_stay_within_an_evaluation_budget(receiver, noise_params,
+                                                         monkeypatch):
+    # the monotone Armijo line search took 901 evaluations here; without its
+    # stall stop the nonmonotone one takes 10,260, creeping along a face
+    prob, *_ = _problem("qos_max_eve_ber", 22.0, receiver, noise_params)
+    evals = []
+    surrogate = _Objective.surrogate
+
+    def counted(self, p_k):
+        fg = surrogate(self, p_k)
+        return lambda p: evals.append(1) or fg(p)
+
+    monkeypatch.setattr(_Objective, "surrogate", counted)
+    res = solve(prob, CccpSettings(n_starts=4, seed=2))
+    assert len(evals) <= 600
+    for rec in res.per_start:
+        if rec["feasible"]:
+            assert set(rec["inner_stops"]) <= {"kkt", "stalled", "no_ascent", "iter_cap"}
+            assert sum(rec["inner_stops"].values()) == rec["iterations"]
 
 
 def test_multi_start_determinism(receiver, noise_params):
