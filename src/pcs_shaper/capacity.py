@@ -6,14 +6,14 @@ differential entropy minus the noise entropy ``1/2 log2(2 pi e sigma^2)``;
 secrecy capacity is the capacity gap between the legitimate and eavesdropper
 links.  Everything is in bits.
 
-Two evaluation paths are provided:
+Two evaluation paths are provided, both over the panels that cover the
+windows ``[r_m - 10 sigma, r_m + 10 sigma]`` and skip the gaps between them:
 
 * :func:`mixture_entropy` - vectorized adaptive G7-K15 Gauss-Kronrod
-  quadrature over the union of the windows ``[r_m - 10 sigma, r_m + 10 sigma]``
-  to 1e-9 bits absolute, the reference implementation;
-* :class:`EntropyGrid` - a fixed composite Gauss-Legendre table over
-  ``[min r - 10 sigma, max r + 10 sigma]`` that also returns the per-component
-  integrals ``I_m = -E_{y~N(r_m,sigma^2)}[log2 f(y)]``, from which both the entropy
+  quadrature to 1e-9 bits absolute, the reference implementation;
+* :class:`EntropyGrid` - a fixed composite Gauss-Legendre table that also
+  returns the per-component integrals
+  ``I_m = -E_{y~N(r_m,sigma^2)}[log2 f(y)]``, from which both the entropy
   ``sum_m p_m I_m`` and its gradient ``I_m - log2(e)`` follow.  The solver
   uses this path; tests pin it against the adaptive one.
 
@@ -112,19 +112,21 @@ def _log2_pdf(u, mu: np.ndarray, w: np.ndarray):
 def _entropy_panels(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centres and half-widths of panels at most one unit wide.
 
-    The panels tile the union of the windows ``[mu_m - 10, mu_m + 10]``, with
-    breakpoints at the means and the window edges; a gap between windows is
-    left out, so far-apart components cost O(M) panels, not O(span).
+    Sorted means at most ``2 * _TAIL_SIGMAS`` apart, whose windows
+    ``[mu_m - 10, mu_m + 10]`` overlap, form one cluster; each cluster's span
+    ``[min - 10, max + 10]`` is cut into ``ceil(span)`` equal panels.  A gap
+    between clusters is left out, so far-apart components cost O(M) panels,
+    not O(span).
     """
-    mu = np.unique(mu)
-    points = np.unique(np.concatenate([mu - _TAIL_SIGMAS, mu, mu + _TAIL_SIGMAS]))
-    mid = 0.5 * (points[:-1] + points[1:])
-    covered = np.abs(mid[:, None] - mu[None, :]).min(axis=1) <= _TAIL_SIGMAS
-    lo, hi = points[:-1][covered], points[1:][covered]
-    counts = np.ceil(hi - lo).astype(np.intp)
-    half = np.repeat(0.5 * (hi - lo) / counts, counts)
-    rank = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(lo, counts) + (2 * rank + 1) * half, half
+    mu = np.sort(mu)
+    centres, halves = [], []
+    for cluster in np.split(mu, np.flatnonzero(np.diff(mu) > 2 * _TAIL_SIGMAS) + 1):
+        lo, hi = cluster[0] - _TAIL_SIGMAS, cluster[-1] + _TAIL_SIGMAS
+        n_panels = int(math.ceil(hi - lo))
+        edges = np.linspace(lo, hi, n_panels + 1)
+        centres.append(0.5 * (edges[:-1] + edges[1:]))
+        halves.append(np.full(n_panels, 0.5 * (edges[1] - edges[0])))
+    return np.concatenate(centres), np.concatenate(halves)
 
 
 def mixture_entropy(mm: MixtureModel) -> float:
@@ -259,8 +261,8 @@ class EntropyGrid:
     """Fixed-grid mixture entropy and per-component integrals for one link.
 
     Precomputes standardized component pdfs on composite 16-point
-    Gauss-Legendre panels of one noise-sigma width spanning
-    ``[min mu - 10, max mu + 10]``.  For a weight vector p it returns
+    Gauss-Legendre rules over the panels of :func:`_entropy_panels`, at most
+    one noise sigma wide.  For a weight vector p it returns
 
         I_m = -E_{y ~ component m}[log2 f(y)]        (component_integrals)
         H(p) = sum_m p_m I_m                          (entropy)
@@ -277,14 +279,9 @@ class EntropyGrid:
             raise ConfigError("sigma must be > 0")
         self.sigma = float(sigma)
         self.mu = means / sigma
-        lo = self.mu.min() - _TAIL_SIGMAS
-        hi = self.mu.max() + _TAIL_SIGMAS
-        n_panels = int(math.ceil(hi - lo))
-        edges = np.linspace(lo, hi, n_panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        self._y = (mids[:, None] + half * self._GL_NODES[None, :]).ravel()
-        self._w = np.tile(half * self._GL_WEIGHTS, n_panels)
+        centres, halves = _entropy_panels(self.mu)
+        self._y = (centres[:, None] + halves[:, None] * self._GL_NODES).ravel()
+        self._w = (halves[:, None] * self._GL_WEIGHTS).ravel()
         # pdf[m, j]: standardized normal density of component m at node j
         self._pdf = np.exp(-0.5 * (self._y[None, :] - self.mu[:, None]) ** 2) \
             / math.sqrt(2.0 * math.pi)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy import special
 from scipy.integrate import quad
 
 from .exceptions import ConfigError, NonConvergenceError
@@ -35,12 +36,6 @@ __all__ = [
 ]
 
 ELEMENTARY_CHARGE = 1.602176634e-19  # coulombs
-
-# Power-series evaluation of 2F1: direct series below this |z|, Pfaff
-# transformation z -> z/(z-1) above it (the z <= 0 branch is all we need).
-_SERIES_RADIUS = 0.9
-_SERIES_MAX_TERMS = 100_000
-_SERIES_RTOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -187,34 +182,13 @@ def noise_variance(pd: ReceiverPd, noise: NoiseParams, gain: float,
     return noise.bandwidth * (shot + ambient + noise.preamp_density**2)
 
 
-def _hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
-    total = term = 1.0
-    for k in range(_SERIES_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) <= _SERIES_RTOL * max(abs(total), 1.0):
-            return total
-    raise NonConvergenceError(
-        f"2F1 series did not converge for (a={a}, b={b}, c={c}, z={z})")
-
-
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; z) on the z <= 0 branch.
-
-    Uses the defining power series for small |z| and the Pfaff transformation
-    ``2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))`` otherwise, which
-    maps z <= 0 into [0, 1) where the series converges.
-    """
+    """Gauss hypergeometric 2F1(a, b; c; z) on the z <= 0 branch (scipy.special)."""
     if c <= 0 and c == int(c):
         raise ConfigError(f"c must not be a non-positive integer, got {c}")
     if z > 0:
         raise ConfigError(f"only the z <= 0 branch is supported, got z={z}")
-    if z == 0.0:
-        return 1.0
-    if abs(z) < _SERIES_RADIUS:
-        return _hyp2f1_series(a, b, c, z)
-    w = z / (z - 1.0)
-    return (1.0 - z) ** (-a) * _hyp2f1_series(a, c - b, c, w)
+    return float(special.hyp2f1(a, b, c, z))
 
 
 def _eve_gain_prefactor(led: LambertianLed, pd: ReceiverPd) -> float:

@@ -35,7 +35,7 @@ from .error_rate import PairwiseGeometry, ber_approx, ber_upper_bound, \
 from .exceptions import ConfigError, DegradedRegimeError, InfeasibleError, \
     NonConvergenceError, PcsShaperError
 from .montecarlo import SimConfig, pairwise_error_mc, simulate_error_rates
-from .solver import CccpSettings, DesignProblem, solve
+from .solver import CccpSettings, DesignProblem, feasibility_report, solve
 
 SCENARIOS = ("design_known", "design_unknown", "design_qos", "sweep_power",
              "validate_ber", "convergence_trace")
@@ -98,8 +98,7 @@ def default_paper_config() -> ExperimentConfig:
         eve={"quality_ratio": 10.0},
         constraints={"pre_fec_threshold": 3.8e-3, "flicker_alpha": 0.01,
                      "mode": "flicker"},
-        solver={"max_iters": 50, "rel_tol": 1e-2, "n_starts": 32, "seed": 2024,
-                "p_floor": 1e-9},
+        solver={"max_iters": 50, "rel_tol": 1e-2, "n_starts": 32, "seed": 2024},
         montecarlo={"n_symbols": 200_000, "seed": 7},
         power_dbm=[float(x) for x in range(20, 36)],
         output="sweep_power.csv",
@@ -113,28 +112,7 @@ def default_paper_config() -> ExperimentConfig:
 @dataclass
 class OperatingPoint:
     power_dbm: float
-    power_watt: float
-    led: LambertianLed
-    pd: ReceiverPd
-    noise: NoiseParams
     problem: DesignProblem
-    uniform: Distribution
-
-
-def _build_pd(cfg: ExperimentConfig) -> ReceiverPd:
-    r = cfg.receiver
-    return ReceiverPd(area=r.get("area", 1e-4),
-                      responsivity_gamma=r.get("responsivity_gamma", 0.54),
-                      fov=math.radians(r.get("fov_deg", 70.0)),
-                      filter_gain=r.get("filter_gain", 1.0),
-                      refractive_index=r.get("refractive_index", 1.5))
-
-
-def _build_noise(cfg: ExperimentConfig) -> NoiseParams:
-    n = cfg.noise
-    return NoiseParams(bandwidth=n.get("bandwidth", 20e6),
-                       ambient_photocurrent=n.get("ambient_photocurrent", 10.93),
-                       preamp_density=n.get("preamp_density", 5e-12))
 
 
 def _resolve_variant(cfg: ExperimentConfig) -> str:
@@ -165,8 +143,16 @@ def resolve_point(cfg: ExperimentConfig, power_dbm: float) -> OperatingPoint:
         i_min=led_cfg.get("i_min", 0.0),
         i_max=math.inf if i_max is None else i_max,
     )
-    pd = _build_pd(cfg)
-    noise = _build_noise(cfg)
+    r = cfg.receiver
+    pd = ReceiverPd(area=r.get("area", 1e-4),
+                    responsivity_gamma=r.get("responsivity_gamma", 0.54),
+                    fov=math.radians(r.get("fov_deg", 70.0)),
+                    filter_gain=r.get("filter_gain", 1.0),
+                    refractive_index=r.get("refractive_index", 1.5))
+    n = cfg.noise
+    noise = NoiseParams(bandwidth=n.get("bandwidth", 20e6),
+                        ambient_photocurrent=n.get("ambient_photocurrent", 10.93),
+                        preamp_density=n.get("preamp_density", 5e-12))
     bob_geom = LinkGeometry.below_led(led, cfg.bob.get("radial_offset", 0.0))
     bob = link_budget_from_geometry(led, pd, noise, bob_geom, power_watt)
 
@@ -197,18 +183,14 @@ def resolve_point(cfg: ExperimentConfig, power_dbm: float) -> OperatingPoint:
                             bob_link=bob, dc_bias=led.dc_bias,
                             constraints=constraints, eve_link=eve_link,
                             eve_avg=eve_avg)
-    uniform = Distribution.uniform(cfg.modulation_order)
-    return OperatingPoint(power_dbm=power_dbm, power_watt=power_watt, led=led,
-                          pd=pd, noise=noise, problem=problem, uniform=uniform)
+    return OperatingPoint(power_dbm=power_dbm, problem=problem)
 
 
 def _settings(cfg: ExperimentConfig) -> CccpSettings:
-    s = cfg.solver
-    return CccpSettings(max_iters=s.get("max_iters", 50),
-                        rel_tol=s.get("rel_tol", 1e-2),
-                        n_starts=s.get("n_starts", 32),
-                        seed=s.get("seed", 0),
-                        p_floor=s.get("p_floor", 1e-9))
+    try:
+        return CccpSettings(**cfg.solver)
+    except TypeError as exc:
+        raise ConfigError(f"solver settings: {exc}") from None
 
 
 def _powers(cfg: ExperimentConfig) -> list[float]:
@@ -262,16 +244,13 @@ def _bob_mc_ber(cfg: ExperimentConfig, point: OperatingPoint, p: Distribution) -
     return sim.ber
 
 
-def _point_feasible(point: OperatingPoint, p) -> bool:
-    prob = point.problem
-    arr = p.probs if isinstance(p, Distribution) else np.asarray(p)
-    ber = ber_upper_bound(prob.constellation, arr, prob.bob_link)
-    if ber > prob.constraints.pre_fec_threshold + 1e-8:
+def _point_feasible(point: OperatingPoint, p: Distribution) -> bool:
+    report = feasibility_report(point.problem, p.probs)
+    if report["ber_upper_excess"] > 1e-8:
         return False
-    mean = float(prob.constellation.amplitudes @ arr)
-    if prob.constraints.mode == "symmetric":
-        return bool(np.abs(arr[:arr.size // 2] - arr[::-1][:arr.size // 2]).max() < 1e-9)
-    return abs(mean) <= prob.constraints.flicker_alpha * prob.dc_bias + 1e-12
+    if "symmetry_residual_max" in report:
+        return report["symmetry_residual_max"] < 1e-9
+    return report["flicker_excess"] <= 1e-12
 
 
 def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -280,12 +259,13 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     def one(power: float):
         point = resolve_point(cfg, power)
+        uniform = Distribution.uniform(cfg.modulation_order)
         uniform_row = [power, "uniform",
-                       _secrecy_metric(point, point.uniform),
+                       _secrecy_metric(point, uniform),
                        ber_upper_bound(point.problem.constellation,
-                                       point.uniform, point.problem.bob_link),
-                       _bob_mc_ber(cfg, point, point.uniform),
-                       _point_feasible(point, point.uniform)]
+                                       uniform, point.problem.bob_link),
+                       _bob_mc_ber(cfg, point, uniform),
+                       _point_feasible(point, uniform)]
         result = solve(point.problem, settings)
         pcs_row = [power, "pcs",
                    _secrecy_metric(point, result.p_opt),
@@ -353,7 +333,7 @@ def _run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _run_validate(cfg: ExperimentConfig | None, out_dir: Path) -> int:
+def _run_validate() -> int:
     """Quick oracle cross-checks; nonzero exit on any mismatch."""
     rng = np.random.default_rng(202406)
     checks: list[tuple[str, bool]] = []
@@ -432,7 +412,7 @@ def run(config_path: str, out_dir: str = ".", seed: int | None = None,
         if cfg.scenario == "convergence_trace":
             return _run_convergence(cfg, out)
         if cfg.scenario == "validate_ber":
-            return _run_validate(cfg, out)
+            return _run_validate()
     except InfeasibleError as exc:
         print(f"infeasible design: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -471,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(default_paper_config().to_dict(), indent=2))
         return EXIT_OK
     if args.command == "validate":
-        return _run_validate(None, Path("."))
+        return _run_validate()
     return run(args.config, out_dir=args.out, seed=args.seed, starts=args.starts)
 
 

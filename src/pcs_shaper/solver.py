@@ -38,7 +38,8 @@ from .capacity import EntropyGrid, GAUSS_ENTROPY_STD
 from .channel import LinkBudget
 from .constellation import ConstraintSet, Distribution, PamConstellation, \
     signed_amplitude_mean, symmetry_residual
-from .error_rate import ber_approx, ber_upper_bound, grad_ber_approx, grad_ber_upper
+from .error_rate import ACTIVE_SUPPORT_FLOOR, ber_approx, ber_upper_bound, \
+    grad_ber_approx, grad_ber_upper
 from .exceptions import ConfigError, DegradedRegimeError, InfeasibleError, \
     NonConvergenceError
 
@@ -47,6 +48,7 @@ __all__ = [
     "CccpSettings",
     "DesignProblem",
     "SolveResult",
+    "feasibility_report",
     "AffineFunction",
     "inner_solve",
     "linearized_ber_constraint",
@@ -64,6 +66,8 @@ _GLL_MEMORY = 10         # accepted values behind the nonmonotone reference
 _STALL_REL = 1e-7        # best-value rise over _GLL_MEMORY iterations that is a stall
 _MIN_STEP = 1e-17        # inf-norm displacement below which a step has collapsed
 _MIN_SPECTRAL = 1e-14    # least spectral step
+_INNER_MAX_ITER = 3000   # iterations per inner solve
+_INNER_KKT_TOL = 1e-8    # KKT residual at which an inner solve has converged
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +82,6 @@ class CccpSettings:
     rel_tol: float = 1e-2
     n_starts: int = 32
     seed: int = 0
-    p_floor: float = 1e-9
-    inner_max_iter: int = 3000
-    inner_kkt_tol: float = 1e-8
 
     def __post_init__(self):
         if self.max_iters < 1 or self.n_starts < 1:
@@ -368,8 +369,8 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
 
 
 def inner_solve(objective, n: int, rows=(), symmetric: bool = False,
-                x0: np.ndarray | None = None, kkt_tol: float = 1e-8,
-                max_iter: int = 3000) -> Distribution:
+                x0: np.ndarray | None = None, kkt_tol: float = _INNER_KKT_TOL,
+                max_iter: int = _INNER_MAX_ITER) -> Distribution:
     """Maximize a concave objective over the constrained simplex.
 
     ``objective(p)`` must return ``(value, gradient)``; ``rows`` holds at most
@@ -428,9 +429,8 @@ def _start_points(m: int, settings: CccpSettings) -> list[np.ndarray]:
 class _Objective:
     """Per-variant objective closures over precomputed entropy tables."""
 
-    def __init__(self, problem: DesignProblem, settings: CccpSettings):
+    def __init__(self, problem: DesignProblem):
         self.problem = problem
-        self.settings = settings
         c = problem.constellation
         self.c = c
         self.grid_b = EntropyGrid(problem.bob_link.composite_gain * c.amplitudes,
@@ -446,7 +446,7 @@ class _Objective:
             self.cap_b_const = -GAUSS_ENTROPY_STD - math.log2(problem.bob_link.sigma)
 
     def clamp(self, p: np.ndarray) -> np.ndarray:
-        return np.maximum(p, self.settings.p_floor)
+        return np.maximum(p, ACTIVE_SUPPORT_FLOOR)
 
     # -- true (reported) objectives -------------------------------------
     def true_value(self, p: np.ndarray) -> float:
@@ -505,8 +505,8 @@ class _Objective:
         return fg
 
 
-def _restore_feasibility(obj: _Objective, project: _Projector, p: np.ndarray,
-                         settings: CccpSettings) -> np.ndarray | None:
+def _restore_feasibility(obj: _Objective, project: _Projector,
+                         p: np.ndarray) -> np.ndarray | None:
     """Drive ber_upper below the threshold by minimizing its tangent plane.
 
     Each round minimizes the majorizing linearization over the illumination
@@ -523,8 +523,7 @@ def _restore_feasibility(obj: _Objective, project: _Projector, p: np.ndarray,
 
         def fg(x, grad=grad):
             return -float(grad @ x), -grad
-        p_new, _, _ = _pg_ascent(fg, project, p, settings.inner_max_iter,
-                                 settings.inner_kkt_tol)
+        p_new, _, _ = _pg_ascent(fg, project, p, _INNER_MAX_ITER, _INNER_KKT_TOL)
         ber_new = ber_upper_bound(obj.c, obj.clamp(p_new), problem.bob_link)
         if ber_new >= ber * (1.0 - 1e-12):
             return None
@@ -541,7 +540,7 @@ def _run_single_start(obj: _Objective, start: np.ndarray, start_index: int,
     slab = [] if symmetric else [(obj.c.amplitudes, -bound, bound)]
     project = _Projector(slab, symmetric)
     p = project(start)
-    p = _restore_feasibility(obj, project, p, settings)
+    p = _restore_feasibility(obj, project, p)
     if p is None:
         return None
     trace = [obj.true_value(p)]
@@ -554,8 +553,7 @@ def _run_single_start(obj: _Objective, start: np.ndarray, start_index: int,
         project.set_row(len(slab), tangent.coef, -math.inf,
                         thr - margin - tangent.offset)
         fg = obj.surrogate(p)
-        p_new, _, reason = _pg_ascent(fg, project, p, settings.inner_max_iter,
-                                      settings.inner_kkt_tol)
+        p_new, _, reason = _pg_ascent(fg, project, p, _INNER_MAX_ITER, _INNER_KKT_TOL)
         inner_stops[reason] += 1
         trace.append(obj.true_value(p_new))
         p = p_new
@@ -567,7 +565,8 @@ def _run_single_start(obj: _Objective, start: np.ndarray, start_index: int,
     return p, trace, iterations, converged, start_index, dict(inner_stops)
 
 
-def _feasibility_report(problem: DesignProblem, p: np.ndarray) -> dict[str, float]:
+def feasibility_report(problem: DesignProblem, p: np.ndarray) -> dict[str, float]:
+    """Constraint margins of the design ``p``: BER bound and flicker or symmetry."""
     c = problem.constellation
     thr = problem.constraints.pre_fec_threshold
     report = {
@@ -596,7 +595,7 @@ def solve(problem: DesignProblem, settings: CccpSettings | None = None) -> Solve
             and problem.bob_link.quality <= problem.eve_link.quality:
         raise DegradedRegimeError(
             "known-CSI design requires bob quality > eve quality")
-    obj = _Objective(problem, settings)
+    obj = _Objective(problem)
     best = None
     per_start = []
     for idx, start in enumerate(_start_points(problem.constellation.order_m, settings)):
@@ -622,7 +621,7 @@ def solve(problem: DesignProblem, settings: CccpSettings | None = None) -> Solve
         objective_trace=trace,
         iterations=iterations,
         converged=converged,
-        feasibility=_feasibility_report(problem, p),
+        feasibility=feasibility_report(problem, p),
         start_index=start_index,
         per_start=per_start,
     )

@@ -11,6 +11,7 @@ from pcs_shaper.capacity import (
     _ENTROPY_BLOCK,
     EntropyGrid,
     MixtureModel,
+    _entropy_panels,
     _log2_pdf,
     _standardized,
     avg_secrecy_capacity_mc,
@@ -151,6 +152,44 @@ def test_grid_agrees_with_adaptive_quadrature():
         mm = MixtureModel(means=means, sigma=sigma, weights=w)
         grid = EntropyGrid(means, sigma)
         assert grid.entropy(w) == pytest.approx(mixture_entropy(mm), abs=1e-9)
+
+
+@st.composite
+def _spread_means(draw):
+    m = draw(st.integers(1, 16))
+    span = draw(st.floats(0.0, 200.0))
+    return draw(st.floats(-1e3, 1e3)) + span * np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+
+
+@settings(max_examples=300)
+@given(_spread_means())
+def test_entropy_panels_tile_the_windows_and_skip_the_gaps(mu):
+    centres, halves = _entropy_panels(mu)
+    order = np.argsort(centres)
+    lo, hi = (centres - halves)[order], (centres + halves)[order]
+    tol = 1e-9
+    assert np.all(hi - lo <= 1.0 + tol)
+    assert np.all(hi[:-1] <= lo[1:] + tol)                  # no overlap
+    for m in mu:                                            # each window is covered
+        hit = (hi > m - 10.0) & (lo < m + 10.0)
+        assert lo[hit][0] <= m - 10.0 + tol and hi[hit][-1] >= m + 10.0 - tol
+        assert np.all(lo[hit][1:] <= hi[hit][:-1] + tol)
+    assert np.abs(centres[:, None] - mu[None, :]).min(axis=1).max() <= 10.5
+    clusters = 1 + np.count_nonzero(np.diff(np.sort(mu)) > 20.0)
+    assert centres.size <= math.ceil(mu.max() - mu.min() + 20.0) + clusters - 1
+
+
+def test_grid_skips_the_gaps_between_far_apart_windows(receiver, noise_params):
+    # M=8 at 35 dBm: neighbouring means about 34 sigma apart
+    led, bob, *_ = links_at_dbm(35.0, receiver, noise_params)
+    c = build_constellation(8, led.peak_amplitude)
+    means = bob.composite_gain * c.amplitudes
+    grid = EntropyGrid(means, bob.sigma)
+    assert grid._y.size <= 2560
+    w = np.full(8, 1.0 / 8)
+    assert grid.entropy(w) == pytest.approx(
+        mixture_entropy(MixtureModel(means=means, sigma=bob.sigma, weights=w)), abs=1e-9)
 
 
 def test_grid_gradient_matches_finite_differences():

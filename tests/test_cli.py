@@ -134,6 +134,13 @@ def test_config_error_exit_code(tmp_path):
     assert run(str(tmp_path / "missing.json")) == EXIT_CONFIG
 
 
+def test_misspelt_solver_key_is_a_config_error(tmp_path):
+    cfg = mini_config()
+    cfg["solver"] = {**cfg["solver"], "max_iter": 5}
+    path = write_config(tmp_path, cfg)
+    assert run(str(path), out_dir=str(tmp_path)) == EXIT_CONFIG
+
+
 def test_infeasible_exit_code(tmp_path):
     # 12 dBm with the default threshold admits no reliable design
     cfg = mini_config(power_dbm=[12.0], modulation_order=8)
