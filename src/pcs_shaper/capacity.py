@@ -67,7 +67,8 @@ _K15_NODES = np.concatenate([_XGK, -_XGK[-2::-1]])
 _K15_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
 _G7_WEIGHTS = np.zeros(15)                      # zero at the Kronrod-only nodes
 _G7_WEIGHTS[1::2] = np.concatenate([_WG, _WG[-2::-1]])
-_ENTROPY_BLOCK = 4096   # samples per -log2 f evaluation in entropy_mc
+_ENTROPY_BLOCK = 8192   # samples per -log2 f evaluation in entropy_mc
+_EXP_FLOOR = -700.0     # least shifted exponent _log2_pdf passes to exp
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,25 @@ def _standardized(mm: MixtureModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log2_pdf(u, mu: np.ndarray, w: np.ndarray):
-    """log2 of the standardized mixture pdf, stable for far-apart components."""
+    """log2 of the standardized mixture pdf, stable for far-apart components.
+
+    A log-sum-exp over the components, shifted by each sample's largest
+    exponent.  The ``M x N`` temporaries are laid out components-major, so
+    every reduction runs along the contiguous sample axis, and are updated in
+    place.  Shifted exponents are floored at ``_EXP_FLOOR``: ``exp`` of a
+    subnormal result takes a much slower path, and ``exp(-700) ~ 1e-304``
+    cannot change a sum that contains ``exp(0) = 1``.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    z = -0.5 * (u[:, None] - mu[None, :]) ** 2 + np.log(w)[None, :]
-    zmax = z.max(axis=1)
-    lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
+    z = u[None, :] - mu[:, None]
+    z *= z
+    z *= -0.5
+    z += np.log(w)[:, None]
+    zmax = z.max(axis=0)
+    z -= zmax
+    np.maximum(z, _EXP_FLOOR, out=z)
+    np.exp(z, out=z)
+    lse = zmax + np.log(z.sum(axis=0))
     return (lse - 0.5 * math.log(2.0 * math.pi)) * LOG2E
 
 
@@ -169,9 +184,12 @@ def entropy_mc(mm: MixtureModel, n_samples: int, seed: int = 0,
 
     Returns (estimate, standard error).  Serves as the independent oracle for
     the quadrature path.  Samples are drawn ``chunk`` at a time; within a chunk
-    ``-log2 f`` is evaluated in row blocks of ``_ENTROPY_BLOCK`` samples, so the
-    per-sample-per-component temporaries stay cache-sized.  Each sample's value
-    does not depend on the blocking, and both sums run over the whole chunk.
+    ``-log2 f`` is evaluated in blocks of ``_ENTROPY_BLOCK`` samples, so the
+    components-major ``M x _ENTROPY_BLOCK`` temporaries of :func:`_log2_pdf`
+    stay cache-sized.  Each sample's value does not depend on the blocking,
+    and both sums run over the whole chunk.  Flooring the shifted exponents at
+    ``_EXP_FLOOR`` changes terms under 1e-304 in a sum of at least 1, far
+    below its last bit.
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")

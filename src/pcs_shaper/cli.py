@@ -30,8 +30,8 @@ from .channel import LambertianLed, LinkBudget, LinkGeometry, NoiseParams, \
     ReceiverPd, average_eve_link, eve_link_from_quality_ratio, hyp2f1, \
     link_budget_from_geometry
 from .constellation import ConstraintSet, Distribution, build_constellation
-from .error_rate import PairwiseGeometry, ber_approx, ber_upper_bound, \
-    pairwise_error_prob, ser_approx, ser_upper_bound
+from .error_rate import PairwiseGeometry, ber_approx, pairwise_error_prob, \
+    ser_approx, ser_upper_bound
 from .exceptions import ConfigError, DegradedRegimeError, InfeasibleError, \
     NonConvergenceError, PcsShaperError
 from .montecarlo import SimConfig, pairwise_error_mc, simulate_error_rates
@@ -76,7 +76,10 @@ class ExperimentConfig:
         extra = set(data) - known
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        return cls(**data)
+        cfg = cls(**data)
+        for name in _SECTIONS + ("eve",):
+            _section(cfg, name)
+        return cfg
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -105,6 +108,31 @@ def default_paper_config() -> ExperimentConfig:
     )
 
 
+# the sections whose keys default to the paper config's; ``eve`` has none
+_SECTIONS = ("led", "receiver", "noise", "bob", "constraints", "montecarlo")
+_EVE_KEYS = ("quality_ratio", "radial_offset")
+_PAPER = default_paper_config()     # read, never mutated
+
+
+def _section(cfg: ExperimentConfig, name: str) -> dict:
+    """Config section ``name`` over the paper config's; unknown keys are a ConfigError.
+
+    ``eve`` has no defaults and takes at most one of ``_EVE_KEYS``, so that a
+    position is never silently replaced by a quality ratio.
+    """
+    given = getattr(cfg, name)
+    if name == "eve":
+        known, defaults = _EVE_KEYS, {}
+        if all(k in given for k in _EVE_KEYS):
+            raise ConfigError(f"eve takes one of {_EVE_KEYS}, not both")
+    else:
+        known = defaults = getattr(_PAPER, name)
+    extra = set(given) - set(known)
+    if extra:
+        raise ConfigError(f"unknown {name} keys: {sorted(extra)}")
+    return {**defaults, **given}
+
+
 # ---------------------------------------------------------------------------
 # resolution of one operating point
 # ---------------------------------------------------------------------------
@@ -117,7 +145,7 @@ class OperatingPoint:
 
 def _resolve_variant(cfg: ExperimentConfig) -> str:
     variant = cfg.variant
-    mode = cfg.constraints.get("mode", "flicker")
+    mode = _section(cfg, "constraints")["mode"]
     if cfg.scenario == "design_known":
         variant = "known_csi"
     elif cfg.scenario == "design_qos":
@@ -132,48 +160,39 @@ def _resolve_variant(cfg: ExperimentConfig) -> str:
 def resolve_point(cfg: ExperimentConfig, power_dbm: float) -> OperatingPoint:
     """Assemble constellation, links, and a design problem for one grid power."""
     power_watt = 10.0 ** ((power_dbm - 30.0) / 10.0)
-    led_cfg = cfg.led
-    eta = led_cfg.get("conversion_eta", 0.44)
-    i_max = led_cfg.get("i_max")
+    led_cfg = _section(cfg, "led")
+    eta = led_cfg["conversion_eta"]
     led = LambertianLed(
-        semi_angle_half_power=math.radians(led_cfg.get("semi_angle_half_power_deg", 60.0)),
+        semi_angle_half_power=math.radians(led_cfg["semi_angle_half_power_deg"]),
         conversion_eta=eta,
-        height=led_cfg.get("height", 3.0),
+        height=led_cfg["height"],
         dc_bias=power_watt / eta,
-        i_min=led_cfg.get("i_min", 0.0),
-        i_max=math.inf if i_max is None else i_max,
+        i_min=led_cfg["i_min"],
+        i_max=math.inf if led_cfg["i_max"] is None else led_cfg["i_max"],
     )
-    r = cfg.receiver
-    pd = ReceiverPd(area=r.get("area", 1e-4),
-                    responsivity_gamma=r.get("responsivity_gamma", 0.54),
-                    fov=math.radians(r.get("fov_deg", 70.0)),
-                    filter_gain=r.get("filter_gain", 1.0),
-                    refractive_index=r.get("refractive_index", 1.5))
-    n = cfg.noise
-    noise = NoiseParams(bandwidth=n.get("bandwidth", 20e6),
-                        ambient_photocurrent=n.get("ambient_photocurrent", 10.93),
-                        preamp_density=n.get("preamp_density", 5e-12))
-    bob_geom = LinkGeometry.below_led(led, cfg.bob.get("radial_offset", 0.0))
+    r = _section(cfg, "receiver")
+    pd = ReceiverPd(area=r["area"], responsivity_gamma=r["responsivity_gamma"],
+                    fov=math.radians(r["fov_deg"]), filter_gain=r["filter_gain"],
+                    refractive_index=r["refractive_index"])
+    noise = NoiseParams(**_section(cfg, "noise"))
+    bob_geom = LinkGeometry.below_led(led, _section(cfg, "bob")["radial_offset"])
     bob = link_budget_from_geometry(led, pd, noise, bob_geom, power_watt)
 
     peak = cfg.peak_amplitude if cfg.peak_amplitude is not None else led.peak_amplitude
     constellation = build_constellation(cfg.modulation_order, peak)
-    constraints = ConstraintSet(
-        pre_fec_threshold=cfg.constraints.get("pre_fec_threshold", 3.8e-3),
-        flicker_alpha=cfg.constraints.get("flicker_alpha", 0.01),
-        mode=cfg.constraints.get("mode", "flicker"),
-    )
+    constraints = ConstraintSet(**_section(cfg, "constraints"))
     variant = _resolve_variant(cfg)
 
     eve_link = None
     eve_avg = None
+    eve = _section(cfg, "eve")
     if variant.startswith("unknown_csi"):
         eve_avg = average_eve_link(led, pd, noise, power_watt)
-    elif "quality_ratio" in cfg.eve:
-        eve_link = eve_link_from_quality_ratio(bob, cfg.eve["quality_ratio"],
+    elif "quality_ratio" in eve:
+        eve_link = eve_link_from_quality_ratio(bob, eve["quality_ratio"],
                                                led, pd, noise, power_watt)
-    elif "radial_offset" in cfg.eve:
-        geom = LinkGeometry.below_led(led, cfg.eve["radial_offset"])
+    elif "radial_offset" in eve:
+        geom = LinkGeometry.below_led(led, eve["radial_offset"])
         eve_link = link_budget_from_geometry(led, pd, noise, geom, power_watt)
     else:
         raise ConfigError("eve must specify quality_ratio or radial_offset "
@@ -236,21 +255,24 @@ def _secrecy_metric(point: OperatingPoint, p) -> float:
 
 
 def _bob_mc_ber(cfg: ExperimentConfig, point: OperatingPoint, p: Distribution) -> float:
-    mc = cfg.montecarlo
+    mc = _section(cfg, "montecarlo")
     sim = simulate_error_rates(SimConfig(
-        n_symbols=mc.get("n_symbols", 200_000), seed=mc.get("seed", 7),
+        n_symbols=mc["n_symbols"], seed=mc["seed"],
         link=point.problem.bob_link, constellation=point.problem.constellation,
         distribution=p))
     return sim.ber
 
 
-def _point_feasible(point: OperatingPoint, p: Distribution) -> bool:
+def _sweep_row(cfg: ExperimentConfig, point: OperatingPoint, scheme: str,
+               p: Distribution) -> list:
+    """One CSV row; the BER bound and feasibility come from one report."""
     report = feasibility_report(point.problem, p.probs)
-    if report["ber_upper_excess"] > 1e-8:
-        return False
     if "symmetry_residual_max" in report:
-        return report["symmetry_residual_max"] < 1e-9
-    return report["flicker_excess"] <= 1e-12
+        feasible = report["symmetry_residual_max"] < 1e-9
+    else:
+        feasible = report["flicker_excess"] <= 1e-12
+    return [point.power_dbm, scheme, _secrecy_metric(point, p), report["ber_upper"],
+            _bob_mc_ber(cfg, point, p), report["ber_upper_excess"] <= 1e-8 and feasible]
 
 
 def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -259,21 +281,10 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     def one(power: float):
         point = resolve_point(cfg, power)
-        uniform = Distribution.uniform(cfg.modulation_order)
-        uniform_row = [power, "uniform",
-                       _secrecy_metric(point, uniform),
-                       ber_upper_bound(point.problem.constellation,
-                                       uniform, point.problem.bob_link),
-                       _bob_mc_ber(cfg, point, uniform),
-                       _point_feasible(point, uniform)]
+        uniform_row = _sweep_row(cfg, point, "uniform",
+                                 Distribution.uniform(cfg.modulation_order))
         result = solve(point.problem, settings)
-        pcs_row = [power, "pcs",
-                   _secrecy_metric(point, result.p_opt),
-                   ber_upper_bound(point.problem.constellation,
-                                   result.p_opt, point.problem.bob_link),
-                   _bob_mc_ber(cfg, point, result.p_opt),
-                   _point_feasible(point, result.p_opt)]
-        return [uniform_row, pcs_row]
+        return [uniform_row, _sweep_row(cfg, point, "pcs", result.p_opt)]
 
     rows = [row for p in powers for row in one(p)]
     _write_csv(out_dir / cfg.output, cfg,

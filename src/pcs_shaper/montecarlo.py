@@ -10,8 +10,16 @@ MAP detection is an interval lookup.  With equal noise variance, the metric
 ``ln p_m - (y - r_m)^2 / (2 sigma^2)`` is, up to a term common to all
 symbols, affine in ``y``, so each symbol wins one interval of ``y`` or none.
 The cuts between neighbouring winners are computed once per call (O(M)), and
-each sample is decided by a binary search among them; an exact tie goes to
-the lower index, as an argmax over the metrics would send it.
+a sample's interval is the number of cuts strictly below it; an exact tie
+goes to the lower index, as an argmax over the metrics would send it.
+
+Both lookups count instead of searching: with at most M - 1 edges, one
+comparison per edge and sample, summed in bytes, costs less than a binary
+search whose branches the processor cannot predict.  A chunk is simulated in
+blocks of ``_BLOCK`` symbols so that these comparisons stay in cache: all
+uniforms of the chunk are drawn first, then each block draws its normals.
+Successive draws continue one Philox stream, so the symbols, the noise and
+the counts are exactly those of drawing the whole chunk at once.
 """
 from __future__ import annotations
 
@@ -36,6 +44,7 @@ __all__ = [
 ]
 
 _CHUNK = 1_000_000
+_BLOCK = 1 << 14        # symbols per detection block within a chunk
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -104,44 +113,61 @@ def _decision_intervals(means: np.ndarray, probs: np.ndarray,
     return np.array(winners, dtype=np.intp), np.array(cuts)
 
 
+def _count_below(edges: np.ndarray, x: np.ndarray, strict: bool) -> np.ndarray:
+    """Number of ``edges`` below each ``x`` (``< x`` if ``strict``, else ``<= x``).
+
+    For sorted ``edges`` this is ``searchsorted(edges, x, "left" if strict else
+    "right")``, computed without branches: one comparison per edge and sample,
+    summed as bytes in the narrowest unsigned type that holds ``edges.size``.
+    """
+    hits = edges[:, None] < x if strict else edges[:, None] <= x
+    counts = hits.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(edges.size))
+    return counts.astype(np.intp)
+
+
 def map_detect(y, c: PamConstellation, p, link) -> np.ndarray | int:
     """MAP symbol decision(s): argmax_m ln p_m - (y - r_m)^2 / (2 sigma^2).
 
-    Each symbol's decision region is one interval of ``y`` (or empty), so a
-    sample is decided by ``searchsorted`` among the cuts between neighbouring
-    regions, with ``side="left"``: a sample exactly on a cut goes to the lower
-    index, as an argmax over the metrics sends a tie.  Zero-probability symbols
-    never win.  Accepts a scalar (returns ``int``) or an array of receive
-    samples.
+    Each symbol's decision region is one interval of ``y`` (or empty), and a
+    sample's interval is the number of cuts strictly below it.  The cuts are
+    strictly increasing, so this equals ``searchsorted(cuts, y, "left")``: a
+    sample exactly on a cut goes to the lower index, as an argmax over the
+    metrics sends a tie.  Zero-probability symbols never win.  Accepts a
+    scalar (returns ``int``) or an array of receive samples.
     """
     probs = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
     winners, cuts = _decision_intervals(link.composite_gain * c.amplitudes,
                                         probs, link.sigma)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    decisions = winners[np.searchsorted(cuts, y_arr, side="left")]
+    decisions = winners[_count_below(cuts, y_arr, strict=True)]
     return int(decisions[0]) if np.isscalar(y) else decisions
 
 
 def _draw_symbols(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF symbol draw for uniforms ``u`` in [0, 1).
 
-    The CDF is forced to 1 from the last nonzero probability on, so rounding in
-    the cumulative sum can never send a zero-probability symbol.
+    A symbol is the number of CDF entries ``<= u`` before the last nonzero
+    probability.  This is ``searchsorted(cdf, u, "right")`` on the CDF forced
+    to 1 from that entry on, so rounding in the cumulative sum can never send
+    a zero-probability symbol.
     """
-    cdf = np.cumsum(probs)
-    cdf[np.flatnonzero(probs)[-1]:] = 1.0
-    return np.searchsorted(cdf, u, side="right")
+    cdf = np.cumsum(probs)[:np.flatnonzero(probs)[-1]]
+    return _count_below(cdf, u, strict=False)
 
 
 def _simulate_chunk(cfg: SimConfig, index: int, n: int) -> np.ndarray:
     rng = _chunk_rng(cfg.seed, index)
     probs = cfg.distribution.probs
-    sent = _draw_symbols(probs, rng.random(n))
+    u = rng.random(n)
     means = cfg.link.composite_gain * cfg.constellation.amplitudes
-    y = means[sent] + cfg.link.sigma * rng.standard_normal(n)
-    detected = map_detect(y, cfg.constellation, probs, cfg.link)
     m = cfg.constellation.order_m
-    return np.bincount(sent * m + detected, minlength=m * m).reshape(m, m)
+    confusion = np.zeros(m * m, dtype=np.intp)
+    for lo in range(0, n, _BLOCK):
+        sent = _draw_symbols(probs, u[lo:lo + _BLOCK])
+        y = means[sent] + cfg.link.sigma * rng.standard_normal(sent.size)
+        detected = map_detect(y, cfg.constellation, probs, cfg.link)
+        confusion += np.bincount(sent * m + detected, minlength=m * m)
+    return confusion.reshape(m, m)
 
 
 def _stderr(mean: float, mean_sq: float, n: int) -> float:

@@ -566,11 +566,13 @@ def _run_single_start(obj: _Objective, start: np.ndarray, start_index: int,
 
 
 def feasibility_report(problem: DesignProblem, p: np.ndarray) -> dict[str, float]:
-    """Constraint margins of the design ``p``: BER bound and flicker or symmetry."""
+    """The BER bound of the design ``p`` and its constraint margins: BER and
+    flicker or symmetry."""
     c = problem.constellation
-    thr = problem.constraints.pre_fec_threshold
+    ber = ber_upper_bound(c, p, problem.bob_link)
     report = {
-        "ber_upper_excess": ber_upper_bound(c, p, problem.bob_link) - thr,
+        "ber_upper": ber,
+        "ber_upper_excess": ber - problem.constraints.pre_fec_threshold,
         "simplex_sum_error": abs(float(p.sum()) - 1.0),
         "min_prob": float(p.min()),
     }

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from pcs_shaper import capacity
@@ -99,6 +99,42 @@ def test_components_a_million_sigma_apart_add_one_bit(monkeypatch):
                       weights=np.array([0.5, 0.5]))
     assert mixture_entropy(mm) == pytest.approx(gaussian_entropy_bits(0.3) + 1.0, abs=1e-9)
     assert max(sizes) < 10_000                      # the 1e6-sigma gap gets no panels
+
+
+def _row_log2_pdf(u, mu, w):
+    """``_log2_pdf`` laid out samples-major (N x M), reduced along the last axis."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    z = -0.5 * (u[:, None] - mu[None, :]) ** 2 + np.log(w)[None, :]
+    zmax = z.max(axis=1)
+    lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
+    return (lse - 0.5 * math.log(2.0 * math.pi)) * capacity.LOG2E
+
+
+@st.composite
+def _standardized_mixtures(draw):
+    """(samples, means, weights): weights down to 1e-300, means up to 1e6 apart."""
+    m = draw(st.integers(1, 16))
+    scale = draw(st.sampled_from([1.0, 30.0, 1e6]))
+    mu = scale * np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m)))
+    w = 10.0 ** -np.array(draw(st.lists(st.floats(0.0, 300.0), min_size=m, max_size=m)))
+    w /= w.sum()
+    near = mu[draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=40))]
+    offsets = draw(st.lists(st.floats(-40.0, 40.0), min_size=near.size,
+                            max_size=near.size))
+    far = np.array(draw(st.lists(st.floats(-1e7, 1e7), max_size=10)))
+    return np.concatenate([near + np.array(offsets), far]), mu, w
+
+
+@settings(max_examples=200)
+@given(_standardized_mixtures())
+@example((np.array([0.0, 5.0, -1e7]), np.array([0.0]), np.array([1.0])))
+@example((np.array([0.0, 5e5, 1e6, 2e6]), np.array([0.0, 1e6]), np.array([1.0, 1e-300])))
+def test_log2_pdf_matches_row_layout(case):
+    u, mu, w = case
+    got = _log2_pdf(u, mu, w)
+    want = _row_log2_pdf(u, mu, w)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 def test_entropy_quadrature_raises_when_the_budget_is_unreachable(monkeypatch):

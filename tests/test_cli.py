@@ -13,8 +13,10 @@ from pcs_shaper.cli import (
     EXIT_NONCONVERGENCE,
     EXIT_OK,
     ExperimentConfig,
+    _section,
     default_paper_config,
     main,
+    resolve_point,
     run,
 )
 from pcs_shaper.exceptions import ConfigError, NonConvergenceError
@@ -139,6 +141,35 @@ def test_misspelt_solver_key_is_a_config_error(tmp_path):
     cfg["solver"] = {**cfg["solver"], "max_iter": 5}
     path = write_config(tmp_path, cfg)
     assert run(str(path), out_dir=str(tmp_path)) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("section, key", [
+    ("led", "hieght"), ("receiver", "fov"), ("noise", "bandwith"), ("bob", "offset"),
+    ("eve", "quality"), ("constraints", "pre_fec_treshold"), ("montecarlo", "n_symbol"),
+])
+def test_misspelt_section_key_is_a_config_error(tmp_path, section, key):
+    cfg = mini_config()
+    cfg[section] = {**cfg[section], key: 10}
+    path = write_config(tmp_path, cfg)
+    assert run(str(path), out_dir=str(tmp_path)) == EXIT_CONFIG
+
+
+def test_eve_takes_a_position_or_a_quality_ratio_not_both(tmp_path):
+    cfg = mini_config()
+    cfg["eve"] = {"quality_ratio": 10.0, "radial_offset": 1.0}
+    path = write_config(tmp_path, cfg)
+    assert run(str(path), out_dir=str(tmp_path)) == EXIT_CONFIG
+
+
+def test_omitted_section_keys_take_the_paper_values():
+    full = default_paper_config()
+    sparse = ExperimentConfig.from_dict({
+        **full.to_dict(), "led": {"height": 3.0}, "receiver": {}, "noise": {},
+        "bob": {}, "constraints": {"mode": "flicker"}, "montecarlo": {}})
+    want, got = resolve_point(full, 26.0).problem, resolve_point(sparse, 26.0).problem
+    assert got.bob_link == want.bob_link and got.eve_link == want.eve_link
+    assert got.constraints == want.constraints and got.dc_bias == want.dc_bias
+    assert _section(sparse, "montecarlo") == full.montecarlo
 
 
 def test_infeasible_exit_code(tmp_path):

@@ -12,6 +12,7 @@ from pcs_shaper.error_rate import PairwiseGeometry, pairwise_error_prob, \
     ser_approx, ser_upper_bound
 from pcs_shaper.exceptions import ConfigError
 from pcs_shaper.montecarlo import (
+    _BLOCK,
     _CHUNK,
     SimConfig,
     _chunk_rng,
@@ -156,6 +157,48 @@ def test_confusion_counts_match_argmax_reference_bit_for_bit():
     stats = simulate_error_rates(cfg)
     assert stats.ser > 0.01
     assert np.array_equal(stats.confusion_counts, _reference_confusion(cfg))
+
+
+def _unblocked_chunk(cfg, index, n):
+    """One chunk as one ``searchsorted`` draw and one ``searchsorted`` detection."""
+    m = cfg.constellation.order_m
+    probs = cfg.distribution.probs
+    means = cfg.link.composite_gain * cfg.constellation.amplitudes
+    rng = _chunk_rng(cfg.seed, index)
+    cdf = np.cumsum(probs)
+    cdf[np.flatnonzero(probs)[-1]:] = 1.0
+    sent = np.searchsorted(cdf, rng.random(n), side="right")
+    y = means[sent] + cfg.link.sigma * rng.standard_normal(n)
+    winners, cuts = _decision_intervals(means, probs, cfg.link.sigma)
+    detected = winners[np.searchsorted(cuts, y, side="left")]
+    return np.bincount(sent * m + detected, minlength=m * m).reshape(m, m)
+
+
+def _block_test_distributions(m):
+    rng = np.random.default_rng(m)
+    holes = rng.dirichlet(np.ones(m))
+    holes[m // 2] = holes[-1] = 0.0             # a zero in the middle and at the tail
+    early_one = np.zeros(m)
+    early_one[:m // 2] = 1.0 / (m // 2)
+    early_one[-1] = 1e-17
+    # the cumulative sum reaches 1.0 before the last nonzero entry
+    assert np.cumsum(early_one)[-2] == 1.0
+    return [rng.dirichlet(np.ones(m)), holes / holes.sum(), early_one]
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_blocked_simulation_is_bit_identical_to_unblocked_chunks(m):
+    c = build_constellation(m, 1.0)
+    link = LinkBudget(composite_gain=1.0, sigma=0.7 / m)
+    for k, probs in enumerate(_block_test_distributions(m)):
+        for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK + 7):
+            cfg = SimConfig(n_symbols=n, seed=97 + k, link=link, constellation=c,
+                            distribution=Distribution(probs))
+            want = sum(_unblocked_chunk(cfg, i, min(_CHUNK, n - lo))
+                       for i, lo in enumerate(range(0, n, _CHUNK)))
+            got = simulate_error_rates(cfg).confusion_counts
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (m, k, n)
 
 
 def test_simulation_noiseless_limit():

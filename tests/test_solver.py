@@ -19,6 +19,7 @@ from pcs_shaper.solver import (
     _Objective,
     _Projector,
     _pg_ascent,
+    feasibility_report,
     inner_solve,
     linearized_ber_constraint,
     project_to_simplex,
@@ -320,6 +321,14 @@ def _problem(variant, power_dbm, receiver, noise_params, mode="flicker", m=8,
                                   flicker_alpha=alpha, mode=mode),
         eve_link=eve if known else None,
         eve_avg=None if known else eve_avg), led, bob, eve, eve_avg
+
+
+def test_feasibility_report_carries_the_ber_bound(receiver, noise_params):
+    prob = _problem("known_csi", 26.0, receiver, noise_params)[0]
+    p = dirichlet_interior(np.random.default_rng(3), 8)
+    report = feasibility_report(prob, p)
+    assert report["ber_upper"] == ber_upper_bound(prob.constellation, p, prob.bob_link)
+    assert report["ber_upper_excess"] == report["ber_upper"] - 3.8e-3
 
 
 def test_known_csi_unconstrained_reduction(receiver, noise_params):
