@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import special
 from scipy.integrate import quad
 
@@ -27,6 +28,7 @@ __all__ = [
     "NoiseParams",
     "LinkBudget",
     "channel_gain",
+    "floor_gains",
     "noise_variance",
     "hyp2f1",
     "average_eve_gain",
@@ -158,15 +160,38 @@ def channel_gain(led: LambertianLed, pd: ReceiverPd, geom: LinkGeometry) -> floa
     """
     if geom.incidence_angle > pd.fov:
         return 0.0
+    return _gain_in_fov(led, pd, geom.distance, math.cos(geom.irradiance_angle),
+                        math.cos(geom.incidence_angle))
+
+
+def _gain_in_fov(led: LambertianLed, pd: ReceiverPd, distance, cos_irradiance,
+                 cos_incidence):
+    """:func:`channel_gain` inside the field of view, on floats or arrays."""
     l_order = led.lambert_order
-    radiant = (l_order + 1.0) / (2.0 * math.pi) * math.cos(geom.irradiance_angle) ** l_order
-    return (pd.area / geom.distance**2) * radiant * pd.filter_gain \
-        * pd.concentrator_gain(geom.incidence_angle) * math.cos(geom.incidence_angle)
+    radiant = (l_order + 1.0) / (2.0 * math.pi) * cos_irradiance ** l_order
+    return (pd.area / distance**2) * radiant * pd.filter_gain \
+        * pd.concentrator_gain(0.0) * cos_incidence
+
+
+def floor_gains(led: LambertianLed, pd: ReceiverPd, radial_offsets) -> np.ndarray:
+    """:func:`channel_gain` of receivers on the floor plane, ``radial_offsets``
+    meters off nadir (:meth:`LinkGeometry.below_led`), as one array.
+
+    Angles and distances come from ``math``, as in ``below_led``: numpy's
+    ``arctan2`` and ``hypot`` differ from them in the last bit, and the
+    cosines multiply an angle's rounding by up to ``tan(FoV)``.  Each gain
+    then agrees with ``channel_gain`` within 1e-15 relative.
+    """
+    offsets = np.asarray(radial_offsets, dtype=float).tolist()
+    ang = np.array([math.atan2(r, led.height) for r in offsets])
+    distance = np.array([math.hypot(led.height, r) for r in offsets])
+    cos_ang = np.cos(ang)
+    return np.where(ang > pd.fov, 0.0, _gain_in_fov(led, pd, distance, cos_ang, cos_ang))
 
 
 def noise_variance(pd: ReceiverPd, noise: NoiseParams, gain: float,
                    optical_power: float) -> float:
-    """Total receiver noise variance in A^2.
+    """Total receiver noise variance in A^2 (elementwise for an array of gains).
 
     ``B * (2 e gamma h P_t + 4 pi e gamma A_r chi (1 - cos FoV) + i_amp^2)``:
     signal shot noise, ambient-light shot noise over the concentrator's

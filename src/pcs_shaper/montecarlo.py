@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import LambertianLed, LinkBudget, LinkGeometry, NoiseParams, \
-    ReceiverPd, link_budget_from_geometry
+from .channel import LambertianLed, LinkBudget, NoiseParams, ReceiverPd, \
+    floor_gains, noise_variance
 from .constellation import Distribution, PamConstellation
 from .error_rate import PairwiseGeometry
 from .exceptions import ConfigError
@@ -220,11 +220,11 @@ def sample_eve_positions(n: int, mode: str, led: LambertianLed, pd: ReceiverPd,
     r_max = led.height * math.tan(pd.fov)
     u = rng.random(n)
     radii = r_max * (np.sqrt(u) if mode == "area_uniform" else u)
-    return [
-        link_budget_from_geometry(
-            led, pd, noise, LinkGeometry.below_led(led, float(r)), optical_power)
-        for r in radii
-    ]
+    gains = floor_gains(led, pd, radii)
+    sigmas = np.sqrt(noise_variance(pd, noise, gains, optical_power))
+    comps = gains * pd.responsivity_gamma * led.conversion_eta
+    return [LinkBudget(composite_gain=c, sigma=s)
+            for c, s in zip(comps.tolist(), sigmas.tolist())]
 
 
 def pairwise_error_mc(p_m: float, p_n: float, geom: PairwiseGeometry,

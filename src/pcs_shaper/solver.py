@@ -23,14 +23,23 @@ multiplier is the root of a monotone piecewise-linear function of one
 variable, found by bracketed Newton steps whose slopes come from the simplex
 projection's face Jacobian; the second row's search wraps the first's.  One
 projector serves a whole start: each outer iteration swaps in its tangent row
-and keeps the warm multipliers.  No external convex-programming solver is
-involved.
+and keeps the warm multipliers.  Each search starts where the last face
+predicts its root: a call moves the multipliers along the last call's face by
+the change of its point, and each step of the second row's search moves the
+first row's multiplier along the current face.  Within an inner solve the
+KKT probes, close to the iterate, keep the projector's multipliers, and the
+spectral steps, often far outside the set, keep their own in a fork.  A start
+only sets how many simplex projections a search takes: each search stops at
+the same tolerances, so the projection does not depend on it beyond them.
+No external convex-programming solver is involved.
 """
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,13 +163,31 @@ def _symmetrize(v: np.ndarray) -> np.ndarray:
     return 0.5 * (v + v[::-1])
 
 
+class _Row(NamedTuple):
+    """A row ``lo <= g @ p <= hi`` and the constants of its multiplier search."""
+
+    g: np.ndarray
+    lo: float
+    hi: float
+    tol: float      # accepted row-value error
+    unit: float     # least Newton step cap, 1 / spread (spread: the range of g)
+    flat: float     # slopes above this (-1e-12 spread**2) count as flat
+
+
+def _row(g: np.ndarray, lo: float, hi: float) -> _Row:
+    spread = float(g.max() - g.min())
+    tol = _FEAS_TOL * (1.0 + max((abs(b) for b in (lo, hi) if math.isfinite(b)),
+                                 default=0.0))
+    return _Row(g, lo, hi, tol, 1.0 / spread if spread > 0 else 1.0, -1e-12 * spread**2)
+
+
 def _face_dot(support: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """``a @ J @ b`` for the Jacobian J of project_to_simplex on the face ``support``."""
     a_s, b_s = a[support], b[support]
     return float(a_s @ b_s - a_s.sum() * b_s.sum() / a_s.size)
 
 
-def _value_range(g: np.ndarray, cut=None) -> tuple[float, float]:
+def _value_range(g: np.ndarray, cut: _Row | None = None) -> tuple[float, float]:
     """Least and greatest ``g @ x`` over the simplex, or its slice by the row ``cut``.
 
     The extremes sit at vertices of the slice: simplex vertices inside it and
@@ -169,7 +196,7 @@ def _value_range(g: np.ndarray, cut=None) -> tuple[float, float]:
     """
     if cut is None:
         return float(g.min()), float(g.max())
-    h, lo, hi = cut
+    h, lo, hi = cut.g, cut.lo, cut.hi
     vals = [g[(lo <= h) & (h <= hi)]]
     for c in (lo, hi):
         i, j = np.nonzero((h[:, None] < c) & (c < h[None, :]))
@@ -178,22 +205,18 @@ def _value_range(g: np.ndarray, cut=None) -> tuple[float, float]:
     return (float(vals.min()), float(vals.max())) if vals.size else (math.inf, -math.inf)
 
 
-def _multiplier(resid, t: float, row):
-    """KKT multiplier of ``row = (g, lo, hi)`` from the warm start t.
+def _multiplier(resid, t: float, row: _Row):
+    """KKT multiplier of ``row`` from the warm start t.
 
     ``resid(t)`` returns the row value r (non-increasing, piecewise linear in
     t), its slope and the projected point.  At the returned ``(t, x)``, r = hi
     if t > 0, r = lo if t < 0, and r lies in [lo, hi] if t = 0.  Newton steps
-    are capped at ``max(2|t|, 1/spread)`` (spread: the range of g), stop at 0
-    and bisect the bracket when they leave it; slopes below
-    ``1e-12 spread**2`` count as flat.
+    are capped at ``max(2|t|, row.unit)``, stop at 0 and bisect the bracket
+    when they leave it; slopes above ``row.flat`` count as flat.  The start
+    only decides how many steps the search takes: any t it returns meets
+    these conditions within ``row.tol``.
     """
-    g, lo, hi = row
-    spread = float(g.max() - g.min())
-    tol = _FEAS_TOL * (1.0 + max((abs(b) for b in (lo, hi) if math.isfinite(b)),
-                                 default=0.0))
-    unit = 1.0 / spread if spread > 0 else 1.0
-    flat = -1e-12 * spread**2
+    lo, hi, tol = row.lo, row.hi, row.tol
     left, right = -math.inf, math.inf
     for _ in range(_MAX_ROOT_STEPS):
         r, slope, x = resid(t)
@@ -204,8 +227,8 @@ def _multiplier(resid, t: float, row):
             right, target = t, want_lo
         else:
             return t, x
-        step = (r - target) / -slope if slope < flat else math.inf
-        new = t + math.copysign(min(abs(step), max(2.0 * abs(t), unit)), r - target)
+        step = (r - target) / -slope if slope < row.flat else math.inf
+        new = t + math.copysign(min(abs(step), max(2.0 * abs(t), row.unit)), r - target)
         if t * new < 0:
             new = 0.0
         if not left < new < right:
@@ -220,15 +243,30 @@ class _Projector:
     """Exact projection onto {simplex [∩ mirror subspace] ∩ ``lo <= g @ p <= hi`` rows}.
 
     Symmetric mode pre-symmetrizes the point and the rows (the simplex is
-    invariant under index reversal).  Row 1's multiplier search wraps row 0's,
-    its slope the Schur complement of the rows' face-map system.  Multipliers
-    stay warm across calls and row swaps: a call at which they are still
-    optimal costs one simplex projection.
+    invariant under index reversal).  The point is ``x = P(v - theta @ G)``,
+    P the simplex projection, at the rows' KKT multipliers theta.  On one
+    face of P the binding rows' multipliers are affine in v and in each
+    other, with the face Gram matrix ``K = G J G^T`` (J: P's Jacobian there)
+    as coefficients.  Two warm starts follow from it:
+
+    * each call moves the binding rows' multipliers by ``K^-1 G J (v - v')``
+      from the last call's ``v'``, on that call's face;
+    * row 1's search wraps row 0's, its slope the Schur complement of K, and
+      each of its steps from t to t' moves row 0's multiplier by
+      ``-(k01 / k00) (t' - t)`` before row 0's search starts.
+
+    Multipliers stay warm across calls and row swaps (a swap drops the last
+    face): a call at which they are still optimal costs one simplex
+    projection.  A caller whose points lie elsewhere keeps its own
+    multipliers and last point in a :meth:`fork`.  The starts only set the
+    cost: the projection is unique, and every search ends at the same
+    tolerances.
     """
 
     def __init__(self, rows=(), symmetric: bool = False):
         self.symmetric = symmetric
         self.rows, self.theta = [], []
+        self.last = None    # (v, support of its projection) of the last call
         for k, (g, lo, hi) in enumerate(rows):
             self.set_row(k, g, lo, hi)
 
@@ -240,17 +278,64 @@ class _Projector:
         if k == len(self.rows):
             self.rows.append(None)
             self.theta.append(0.0)
-        self.rows[k] = (g, float(lo), float(hi))
-        for i, (g_i, lo_i, hi_i) in enumerate(self.rows):
-            least, most = _value_range(g_i, self.rows[0] if i else None)
-            if max(lo_i, least) > min(hi_i, most):
+        self.rows[k] = _row(g, float(lo), float(hi))
+        self.g = np.array([row.g for row in self.rows])
+        self.last = None        # the last face says nothing about a new row
+        for i, row in enumerate(self.rows):
+            least, most = _value_range(row.g, self.rows[0] if i else None)
+            if max(row.lo, least) > min(row.hi, most):
                 raise InfeasibleError("constraint set is empty")
+
+    def fork(self) -> "_Projector":
+        """A projector onto the same set whose multipliers start at these and
+        then move on their own; valid until the next ``set_row``."""
+        twin = copy.copy(self)
+        twin.theta = list(self.theta)
+        return twin
+
+    def _gram(self, support: np.ndarray) -> np.ndarray:
+        """``G J G^T`` for the Jacobian J of P on the face ``support``."""
+        g_s = self.g.compress(support, axis=1)
+        sums = g_s.sum(axis=1)
+        return g_s @ g_s.T - sums[:, None] * (sums / g_s.shape[1])
+
+    def _predict(self, v: np.ndarray) -> None:
+        """Move the binding rows' multipliers to where the last call's face puts v's.
+
+        A multiplier the move would carry across 0 starts at 0, as in
+        :func:`_multiplier`.  On a face where a binding row is flat, or where
+        two binding rows are so close to dependent that ``det K`` is under
+        1e-2 of ``k00 k11``, a move would be mostly rounding, and the
+        multipliers stay where they are.
+        """
+        binding = [i for i, t in enumerate(self.theta) if t != 0.0]
+        if not binding:
+            return
+        w, support = self.last
+        d = (v - w)[support]
+        b = self.g.compress(support, axis=1) @ (d - d.mean())    # G J (v - w)
+        k = self._gram(support)
+        if not all(k[i, i] > -self.rows[i].flat for i in binding):
+            return
+        if len(binding) == 1:
+            moves = {binding[0]: b[binding[0]] / k[binding[0], binding[0]]}
+        else:
+            det = k[0, 0] * k[1, 1] - k[0, 1] ** 2
+            if not det > 1e-2 * k[0, 0] * k[1, 1]:
+                return
+            moves = {0: (k[1, 1] * b[0] - k[0, 1] * b[1]) / det,
+                     1: (k[0, 0] * b[1] - k[0, 1] * b[0]) / det}
+        for i, move in moves.items():
+            t = self.theta[i] + move
+            self.theta[i] = t if t * self.theta[i] > 0 else 0.0
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         v = _symmetrize(v) if self.symmetric else np.asarray(v, dtype=float)
         if not self.rows:
             return project_to_simplex(v)
-        g0 = self.rows[0][0]
+        if self.last is not None:
+            self._predict(v)
+        g0 = self.rows[0].g
 
         def row0(w):
             def resid(t):
@@ -260,18 +345,25 @@ class _Projector:
             return x
 
         if len(self.rows) == 1:
-            return row0(v)
-        g1 = self.rows[1][0]
+            x = row0(v)
+        else:
+            g1 = self.rows[1].g
+            face = None         # (t, d theta[0] / dt) on the last evaluation's face
 
-        def resid(t):
-            x = row0(v - t * g1)
-            s = x > 0
-            k11 = _face_dot(s, g1, g1)
-            k00 = _face_dot(s, g0, g0)
-            if self.theta[0] != 0.0 and k00 > 0:
-                k11 -= _face_dot(s, g0, g1) ** 2 / k00   # row 0 held at its bound
-            return float(g1 @ x), -k11, x
-        self.theta[1], x = _multiplier(resid, self.theta[1], self.rows[1])
+            def resid(t):
+                nonlocal face
+                if face is not None:
+                    self.theta[0] += face[1] * (t - face[0])
+                x = row0(v - t * g1)
+                k = self._gram(x > 0)
+                slope, face = k[1, 1], (t, 0.0)
+                if self.theta[0] != 0.0 and k[0, 0] > 0:
+                    # row 0 held at its bound: theta[0] = const - (k01 / k00) t
+                    slope -= k[0, 1] ** 2 / k[0, 0]
+                    face = (t, -k[0, 1] / k[0, 0])
+                return float(g1 @ x), -slope, x
+            self.theta[1], x = _multiplier(resid, self.theta[1], self.rows[1])
+        self.last = v, x > 0
         return x
 
 
@@ -304,6 +396,12 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
     ``_STALL_REL`` relative over the last ``_GLL_MEMORY`` accepted
     iterations), ``"no_ascent"`` (no ascent direction, or the backtrack
     collapsed) or ``"iter_cap"``.
+
+    The KKT probes, within a unit step of the iterate, go through
+    ``project`` itself; the spectral steps, up to a few simplex diameters
+    away, go through a fork of it made after the first probe.  Each stream
+    then starts its projections from its own multipliers, and ``project`` is
+    left at those of the last probe, next to the point returned.
     """
     p = project(np.asarray(x0, dtype=float))
     f, g = value_and_grad(p)
@@ -323,14 +421,17 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
         return best[0], best[1], "kkt" if kkt_at_best() else reason
 
     lam = 1.0 / max(np.abs(g).max(), 1.0)
+    step = None
     for _ in range(max_iter):
         if kkt_at_best():
             return best[0], best[1], "kkt"
+        if step is None:            # the first step starts from the first probe's multipliers
+            step = project.fork()
         # a displacement of a few simplex diameters reaches every face; a
         # short step can drown in the projection's rounding, so retry long
         cap = 4.0 / max(np.abs(g).max(), 1e-12)
         for lam in (min(lam, cap), cap):
-            d = project(p + lam * g) - p
+            d = step(p + lam * g) - p
             gd = float(g @ d)
             if gd > 0 and np.abs(d).max() >= _MIN_STEP:
                 break

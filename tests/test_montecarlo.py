@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erfc
 
-from pcs_shaper.channel import LinkBudget, LinkGeometry, channel_gain
+from pcs_shaper.channel import LinkBudget, LinkGeometry, channel_gain, \
+    link_budget_from_geometry
 from pcs_shaper.constellation import Distribution, build_constellation
 from pcs_shaper.error_rate import PairwiseGeometry, pairwise_error_prob, \
     ser_approx, ser_upper_bound
@@ -329,6 +330,21 @@ def test_area_uniform_mean_differs_from_radial(receiver, noise_params):
     mean_area = np.mean([lk.composite_gain for lk in area])
     # area weighting favors large offsets, hence a clearly smaller mean gain
     assert mean_area < 0.8 * mean_rad
+
+
+@pytest.mark.parametrize("mode", ["radial_uniform", "area_uniform"])
+def test_sampled_links_match_the_per_position_link_budget(receiver, noise_params, mode):
+    led = led_at_dbm(24.0)
+    power = 10.0 ** ((24.0 - 30.0) / 10.0)
+    links = sample_eve_positions(20_000, mode, led, receiver, noise_params,
+                                 power, seed=23)
+    u = _chunk_rng(23, 0).random(len(links))
+    radii = led.height * math.tan(receiver.fov) * (np.sqrt(u) if mode == "area_uniform" else u)
+    for r, link in zip(radii, links):
+        want = link_budget_from_geometry(led, receiver, noise_params,
+                                         LinkGeometry.below_led(led, float(r)), power)
+        assert link.composite_gain == pytest.approx(want.composite_gain, rel=1e-15, abs=0.0)
+        assert link.sigma == pytest.approx(want.sigma, rel=1e-15, abs=0.0)
 
 
 def test_sampler_validation(receiver, noise_params):

@@ -14,6 +14,7 @@ from pcs_shaper.constellation import ConstraintSet, \
 from pcs_shaper.error_rate import ber_upper_bound
 from pcs_shaper.exceptions import ConfigError, DegradedRegimeError, InfeasibleError
 from pcs_shaper.solver import (
+    _FEAS_TOL,
     CccpSettings,
     DesignProblem,
     _Objective,
@@ -283,6 +284,65 @@ def test_projector_warm_hit_costs_one_simplex_projection(monkeypatch):
                         lambda w: calls.append(1) or project_to_simplex(w))
     assert np.array_equal(project(v), first)
     assert len(calls) == 1
+
+
+@st.composite
+def _projection_sequences(draw):
+    """(rows, swap, points, others): a slab and a tangent row around a common
+    interior point, the tangent that replaces it at ``points[swap]``, and two
+    point sequences with some points far outside the set."""
+    m = draw(st.integers(2, 16))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+    inside = np.array(weights) / sum(weights)
+
+    def row(two_sided):
+        g = draw(_vectors(m, 1.0))
+        assume(np.ptp(g) > 0.1)
+        gap = draw(st.floats(1e-3, 0.5))
+        return (g, float(g @ inside) - gap, float(g @ inside) + gap) if two_sided \
+            else (g, -math.inf, float(g @ inside) + gap)
+
+    def points(n):
+        return [draw(_vectors(m, 1.0)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+                for _ in range(n)]
+
+    n = draw(st.integers(5, 8))
+    return [row(True), row(False)], draw(st.integers(1, n - 1)), row(False), \
+        points(n), points(n)
+
+
+@settings(max_examples=60)
+@given(_projection_sequences())
+def test_warm_multipliers_never_change_the_projection(instance):
+    rows, swap, new_row, points, others = instance
+    warm, elsewhere = _Projector(rows), _Projector(rows)
+    current = list(rows)
+    for i, (v, other) in enumerate(zip(points, others)):
+        if i == swap:
+            for project in (warm, elsewhere):
+                project.set_row(1, *new_row)
+            current[1] = new_row
+        elsewhere(other)
+        got = warm(v)
+        for x in (_Projector(current)(v), elsewhere(v), warm.fork()(v)):
+            assert np.abs(got - x).max() <= 1e-12
+        assert got.min() >= 0.0 and abs(got.sum() - 1.0) <= 1e-12
+        for g, lo, hi in current:
+            tol = _FEAS_TOL * (1.0 + max(abs(b) for b in (lo, hi) if math.isfinite(b)))
+            assert lo - tol <= g @ got <= hi + tol
+
+
+def test_qos_solve_stays_within_a_projection_budget(receiver, noise_params,
+                                                    monkeypatch):
+    # the paper-config QoS design at 25 dBm: a projector that shared one set
+    # of multipliers between the KKT probes and the spectral steps, and
+    # started every search at the last root, made 3538 simplex projections
+    prob, *_ = _problem("qos_max_eve_ber", 25.0, receiver, noise_params)
+    calls = []
+    monkeypatch.setattr("pcs_shaper.solver.project_to_simplex",
+                        lambda w: calls.append(1) or project_to_simplex(w))
+    solve(prob, CccpSettings(n_starts=2, seed=2024))
+    assert len(calls) <= 2800
 
 
 def test_projector_rejects_a_third_row():
