@@ -4,11 +4,13 @@
 writes CSV artifacts whose first line carries the fully resolved configuration
 as a comment for provenance.  ``pcs-shaper paper-config`` emits the default
 simulation setup; ``pcs-shaper validate`` runs the quick oracle cross-checks.
+``ExperimentConfig`` checks and resolves a config once, when it is built:
+every key a section leaves out takes its paper value.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible design,
-4 validation mismatch (or any other package error), 5 a numerical procedure
-did not converge, 6 the eavesdropper link is not degraded (no positive-secrecy
-regime).
+Exit codes: 0 success, 2 configuration error (a malformed config exits here
+before anything runs), 3 infeasible design, 4 validation mismatch (or any
+other package error), 5 a numerical procedure did not converge, 6 the
+eavesdropper link is not degraded (no positive-secrecy regime).
 
 Powers are quoted in dBm of average emitted optical power; at each grid point
 the DC bias is ``P / eta`` and the peak symbol amplitude defaults to the
@@ -36,6 +38,7 @@ from .exceptions import ConfigError, DegradedRegimeError, InfeasibleError, \
     NonConvergenceError, PcsShaperError
 from .montecarlo import SimConfig, pairwise_error_mc, simulate_error_rates
 from .solver import CccpSettings, DesignProblem, feasibility_report, solve
+from .validation import check_power_of_two
 
 SCENARIOS = ("design_known", "design_unknown", "design_qos", "sweep_power",
              "validate_ber", "convergence_trace")
@@ -48,8 +51,42 @@ EXIT_NONCONVERGENCE = 5
 EXIT_DEGRADED = 6
 
 
+# The paper's simulation setup: every section's keys and their values.  A
+# config section is merged over its entry here; ``eve`` has no entry, since
+# an eavesdropper is placed either by a quality ratio or by a position.
+_PAPER = {
+    "led": {"semi_angle_half_power_deg": 60.0, "conversion_eta": 0.44,
+            "height": 3.0, "i_min": 0.0, "i_max": None},
+    "receiver": {"area": 1e-4, "responsivity_gamma": 0.54, "fov_deg": 70.0,
+                 "filter_gain": 1.0, "refractive_index": 1.5},
+    "noise": {"bandwidth": 20e6, "ambient_photocurrent": 10.93,
+              "preamp_density": 5e-12},
+    "bob": {"radial_offset": 0.0},
+    "constraints": {"pre_fec_threshold": 3.8e-3, "flicker_alpha": 0.01,
+                    "mode": "flicker"},
+    "solver": {"max_iters": 50, "rel_tol": 1e-2, "n_starts": 32, "seed": 2024},
+    "montecarlo": {"n_symbols": 200_000, "seed": 7},
+}
+_EVE_KEYS = ("quality_ratio", "radial_offset")
+# the variant each design scenario solves; the others keep the configured one
+_SCENARIO_VARIANT = {"design_known": "known_csi", "design_unknown": "unknown_csi",
+                     "design_qos": "qos_max_eve_ber"}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, complete and checked once it is built.
+
+    However it is made (``from_dict``, ``dataclasses.replace`` or the
+    constructor), every section holds its ``_PAPER`` values under the given
+    ones, ``variant`` is the variant the scenario solves, and ``power_dbm`` is
+    a list of floats.  A malformed value or an unknown key is a ConfigError.
+    """
+
     scenario: str = "sweep_power"
     modulation_order: int = 8
     variant: str = "known_csi"
@@ -69,17 +106,44 @@ class ExperimentConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, "
                               f"got {self.scenario!r}")
+        for name in (*_PAPER, "eve"):
+            given = getattr(self, name)
+            if not isinstance(given, dict):
+                raise ConfigError(f"{name} must be an object, got {given!r}")
+            extra = set(given) - set(_PAPER.get(name, _EVE_KEYS))
+            if extra:
+                raise ConfigError(f"unknown {name} keys: {sorted(extra)}")
+            object.__setattr__(self, name, {**_PAPER.get(name, {}), **given})
+        if all(k in self.eve for k in _EVE_KEYS):
+            raise ConfigError(f"eve takes one of {_EVE_KEYS}, not both")
+        CccpSettings(**self.solver)     # rejects out-of-range solver values
+
+        variant = _SCENARIO_VARIANT.get(self.scenario, self.variant)
+        if variant == "unknown_csi" and self.constraints["mode"] == "symmetric":
+            variant = "unknown_csi_symmetric"
+        object.__setattr__(self, "variant", variant)
+
+        m = self.modulation_order
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise ConfigError(f"modulation_order must be an integer, got {m!r}")
+        check_power_of_two("modulation_order", m)
+        powers = self.power_dbm
+        if not (isinstance(powers, list) and powers and all(map(_is_number, powers))):
+            raise ConfigError("power_dbm must be a non-empty list of finite "
+                              f"numbers, got {powers!r}")
+        object.__setattr__(self, "power_dbm", [float(x) for x in powers])
+        peak = self.peak_amplitude
+        if peak is not None and not (_is_number(peak) and peak > 0):
+            raise ConfigError(f"peak_amplitude must be null or > 0, got {peak!r}")
+        if not (isinstance(self.output, str) and self.output):
+            raise ConfigError(f"output must be a non-empty file name, got {self.output!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        extra = set(data) - known
+        extra = set(data) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        cfg = cls(**data)
-        for name in _SECTIONS + ("eve",):
-            _section(cfg, name)
-        return cfg
+        return cls(**data)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -87,50 +151,9 @@ class ExperimentConfig:
 
 def default_paper_config() -> ExperimentConfig:
     """Default experiment: the standard indoor downlink simulation setup."""
-    return ExperimentConfig(
-        scenario="sweep_power",
-        modulation_order=8,
-        variant="known_csi",
-        led={"semi_angle_half_power_deg": 60.0, "conversion_eta": 0.44,
-             "height": 3.0, "i_min": 0.0, "i_max": None},
-        receiver={"area": 1e-4, "responsivity_gamma": 0.54, "fov_deg": 70.0,
-                  "filter_gain": 1.0, "refractive_index": 1.5},
-        noise={"bandwidth": 20e6, "ambient_photocurrent": 10.93,
-               "preamp_density": 5e-12},
-        bob={"radial_offset": 0.0},
-        eve={"quality_ratio": 10.0},
-        constraints={"pre_fec_threshold": 3.8e-3, "flicker_alpha": 0.01,
-                     "mode": "flicker"},
-        solver={"max_iters": 50, "rel_tol": 1e-2, "n_starts": 32, "seed": 2024},
-        montecarlo={"n_symbols": 200_000, "seed": 7},
-        power_dbm=[float(x) for x in range(20, 36)],
-        output="sweep_power.csv",
-    )
-
-
-# the sections whose keys default to the paper config's; ``eve`` has none
-_SECTIONS = ("led", "receiver", "noise", "bob", "constraints", "montecarlo")
-_EVE_KEYS = ("quality_ratio", "radial_offset")
-_PAPER = default_paper_config()     # read, never mutated
-
-
-def _section(cfg: ExperimentConfig, name: str) -> dict:
-    """Config section ``name`` over the paper config's; unknown keys are a ConfigError.
-
-    ``eve`` has no defaults and takes at most one of ``_EVE_KEYS``, so that a
-    position is never silently replaced by a quality ratio.
-    """
-    given = getattr(cfg, name)
-    if name == "eve":
-        known, defaults = _EVE_KEYS, {}
-        if all(k in given for k in _EVE_KEYS):
-            raise ConfigError(f"eve takes one of {_EVE_KEYS}, not both")
-    else:
-        known = defaults = getattr(_PAPER, name)
-    extra = set(given) - set(known)
-    if extra:
-        raise ConfigError(f"unknown {name} keys: {sorted(extra)}")
-    return {**defaults, **given}
+    return ExperimentConfig(eve={"quality_ratio": 10.0},
+                            power_dbm=[float(x) for x in range(20, 36)],
+                            output="sweep_power.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -143,24 +166,10 @@ class OperatingPoint:
     problem: DesignProblem
 
 
-def _resolve_variant(cfg: ExperimentConfig) -> str:
-    variant = cfg.variant
-    mode = _section(cfg, "constraints")["mode"]
-    if cfg.scenario == "design_known":
-        variant = "known_csi"
-    elif cfg.scenario == "design_qos":
-        variant = "qos_max_eve_ber"
-    elif cfg.scenario == "design_unknown":
-        variant = "unknown_csi_symmetric" if mode == "symmetric" else "unknown_csi"
-    if variant == "unknown_csi" and mode == "symmetric":
-        variant = "unknown_csi_symmetric"
-    return variant
-
-
 def resolve_point(cfg: ExperimentConfig, power_dbm: float) -> OperatingPoint:
     """Assemble constellation, links, and a design problem for one grid power."""
     power_watt = 10.0 ** ((power_dbm - 30.0) / 10.0)
-    led_cfg = _section(cfg, "led")
+    led_cfg = cfg.led
     eta = led_cfg["conversion_eta"]
     led = LambertianLed(
         semi_angle_half_power=math.radians(led_cfg["semi_angle_half_power_deg"]),
@@ -170,23 +179,20 @@ def resolve_point(cfg: ExperimentConfig, power_dbm: float) -> OperatingPoint:
         i_min=led_cfg["i_min"],
         i_max=math.inf if led_cfg["i_max"] is None else led_cfg["i_max"],
     )
-    r = _section(cfg, "receiver")
+    r = cfg.receiver
     pd = ReceiverPd(area=r["area"], responsivity_gamma=r["responsivity_gamma"],
                     fov=math.radians(r["fov_deg"]), filter_gain=r["filter_gain"],
                     refractive_index=r["refractive_index"])
-    noise = NoiseParams(**_section(cfg, "noise"))
-    bob_geom = LinkGeometry.below_led(led, _section(cfg, "bob")["radial_offset"])
+    noise = NoiseParams(**cfg.noise)
+    bob_geom = LinkGeometry.below_led(led, cfg.bob["radial_offset"])
     bob = link_budget_from_geometry(led, pd, noise, bob_geom, power_watt)
 
     peak = cfg.peak_amplitude if cfg.peak_amplitude is not None else led.peak_amplitude
     constellation = build_constellation(cfg.modulation_order, peak)
-    constraints = ConstraintSet(**_section(cfg, "constraints"))
-    variant = _resolve_variant(cfg)
 
-    eve_link = None
-    eve_avg = None
-    eve = _section(cfg, "eve")
-    if variant.startswith("unknown_csi"):
+    eve_link = eve_avg = None
+    eve = cfg.eve
+    if cfg.variant.startswith("unknown_csi"):
         eve_avg = average_eve_link(led, pd, noise, power_watt)
     elif "quality_ratio" in eve:
         eve_link = eve_link_from_quality_ratio(bob, eve["quality_ratio"],
@@ -198,30 +204,19 @@ def resolve_point(cfg: ExperimentConfig, power_dbm: float) -> OperatingPoint:
         raise ConfigError("eve must specify quality_ratio or radial_offset "
                           "for known-CSI designs")
 
-    problem = DesignProblem(variant=variant, constellation=constellation,
+    problem = DesignProblem(variant=cfg.variant, constellation=constellation,
                             bob_link=bob, dc_bias=led.dc_bias,
-                            constraints=constraints, eve_link=eve_link,
-                            eve_avg=eve_avg)
+                            constraints=ConstraintSet(**cfg.constraints),
+                            eve_link=eve_link, eve_avg=eve_avg)
     return OperatingPoint(power_dbm=power_dbm, problem=problem)
 
 
-def _settings(cfg: ExperimentConfig) -> CccpSettings:
-    try:
-        return CccpSettings(**cfg.solver)
-    except TypeError as exc:
-        raise ConfigError(f"solver settings: {exc}") from None
-
-
-def _powers(cfg: ExperimentConfig) -> list[float]:
-    grid = cfg.power_dbm
-    if isinstance(grid, dict):
-        start, stop = grid["start"], grid["stop"]
-        step = grid.get("step", 1.0)
-        n = int(round((stop - start) / step))
-        return [start + i * step for i in range(n + 1)]
-    if not grid:
-        raise ConfigError("power_dbm grid is empty")
-    return [float(x) for x in grid]
+def _solved(cfg: ExperimentConfig):
+    """(point, result) for each grid power, in order: the solving scenarios' loop."""
+    settings = CccpSettings(**cfg.solver)
+    for power in cfg.power_dbm:
+        point = resolve_point(cfg, power)
+        yield point, solve(point.problem, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +250,9 @@ def _secrecy_metric(point: OperatingPoint, p) -> float:
 
 
 def _bob_mc_ber(cfg: ExperimentConfig, point: OperatingPoint, p: Distribution) -> float:
-    mc = _section(cfg, "montecarlo")
-    sim = simulate_error_rates(SimConfig(
-        n_symbols=mc["n_symbols"], seed=mc["seed"],
+    return simulate_error_rates(SimConfig(
         link=point.problem.bob_link, constellation=point.problem.constellation,
-        distribution=p))
-    return sim.ber
+        distribution=p, **cfg.montecarlo)).ber
 
 
 def _sweep_row(cfg: ExperimentConfig, point: OperatingPoint, scheme: str,
@@ -276,17 +268,10 @@ def _sweep_row(cfg: ExperimentConfig, point: OperatingPoint, scheme: str,
 
 
 def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
-    settings = _settings(cfg)
-    powers = _powers(cfg)
-
-    def one(power: float):
-        point = resolve_point(cfg, power)
-        uniform_row = _sweep_row(cfg, point, "uniform",
-                                 Distribution.uniform(cfg.modulation_order))
-        result = solve(point.problem, settings)
-        return [uniform_row, _sweep_row(cfg, point, "pcs", result.p_opt)]
-
-    rows = [row for p in powers for row in one(p)]
+    uniform = Distribution.uniform(cfg.modulation_order)
+    rows = [row for point, result in _solved(cfg)
+            for row in (_sweep_row(cfg, point, "uniform", uniform),
+                        _sweep_row(cfg, point, "pcs", result.p_opt))]
     _write_csv(out_dir / cfg.output, cfg,
                ["power_dbm", "scheme", "secrecy_bits", "ber_analytic",
                 "ber_montecarlo", "feasible"], rows)
@@ -297,22 +282,18 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _run_design(cfg: ExperimentConfig, out_dir: Path) -> int:
-    settings = _settings(cfg)
-    powers = _powers(cfg)
     rows = []
-    for power in powers:
-        point = resolve_point(cfg, power)
-        result = solve(point.problem, settings)
+    for point, result in _solved(cfg):
         rendered = result.p_opt.rendered()
         amps = point.problem.constellation.amplitudes
         for m in range(cfg.modulation_order):
-            rows.append([power, m + 1, amps[m], rendered[m]])
+            rows.append([point.power_dbm, m + 1, amps[m], rendered[m]])
         extra = ""
         if cfg.scenario == "design_qos":
             eve_ber = ber_approx(point.problem.constellation, result.p_opt,
                                  point.problem.eve_link)
             extra = f" eve_ber_approx={eve_ber:.4g}"
-        print(f"{cfg.scenario} @ {power} dBm: objective={result.objective:.6g} "
+        print(f"{cfg.scenario} @ {point.power_dbm} dBm: objective={result.objective:.6g} "
               f"iterations={result.iterations} converged={result.converged} "
               f"inactive={result.inactive_count}{extra}")
     _write_csv(out_dir / cfg.output, cfg,
@@ -322,21 +303,17 @@ def _run_design(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
-    settings = _settings(cfg)
-    powers = _powers(cfg)
     rows = []
-    for power in powers:
-        point = resolve_point(cfg, power)
-        result = solve(point.problem, settings)
+    for point, result in _solved(cfg):
         iter_counts = []
         for rec in result.per_start:
             if not rec["feasible"]:
                 continue
-            rows.append([power, rec["start_index"], rec["iterations"],
+            rows.append([point.power_dbm, rec["start_index"], rec["iterations"],
                          rec["converged"], rec["objective"]])
             iter_counts.append(rec["iterations"])
         if iter_counts:
-            print(f"convergence_trace @ {power} dBm: mean iterations "
+            print(f"convergence_trace @ {point.power_dbm} dBm: mean iterations "
                   f"{np.mean(iter_counts):.2f} over {len(iter_counts)} starts")
     _write_csv(out_dir / cfg.output, cfg,
                ["power_dbm", "start_index", "iterations", "converged",
@@ -415,15 +392,10 @@ def run(config_path: str, out_dir: str = ".", seed: int | None = None,
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    runners = {"sweep_power": _run_sweep, "convergence_trace": _run_convergence,
+               "validate_ber": lambda cfg, out: _run_validate()}
     try:
-        if cfg.scenario == "sweep_power":
-            return _run_sweep(cfg, out)
-        if cfg.scenario in ("design_known", "design_unknown", "design_qos"):
-            return _run_design(cfg, out)
-        if cfg.scenario == "convergence_trace":
-            return _run_convergence(cfg, out)
-        if cfg.scenario == "validate_ber":
-            return _run_validate()
+        return runners.get(cfg.scenario, _run_design)(cfg, out)
     except InfeasibleError as exc:
         print(f"infeasible design: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -439,7 +411,6 @@ def run(config_path: str, out_dir: str = ".", seed: int | None = None,
     except PcsShaperError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    raise AssertionError("unreachable scenario")
 
 
 def main(argv: list[str] | None = None) -> int:

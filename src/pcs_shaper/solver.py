@@ -558,11 +558,7 @@ class _Objective:
             return hb - he + self.const
         if v == "qos_max_eve_ber":
             return ber_approx(self.c, p, self.problem.eve_link)
-        t = 0.0 if v == "unknown_csi_symmetric" \
-            else signed_amplitude_mean(self.c, p) ** 2
-        return self._unknown_value(p, t)
-
-    def _unknown_value(self, p: np.ndarray, t: float) -> float:
+        t = signed_amplitude_mean(self.c, p) ** 2
         cap_b = self.grid_b.entropy(p) + self.cap_b_const
         return cap_b - 0.5 * math.log2(
             1.0 + self.snr_scale * max(self.c.peak_a**2 - t, 0.0))
@@ -578,19 +574,17 @@ class _Objective:
             return fg
         if v == "qos_max_eve_ber":
             def fg(p):
+                # p_m erfc(u_mn) depends on p only through p_m and ln(p_m/p_n),
+                # so the bound is homogeneous of degree 1 in p and, by Euler's
+                # theorem, equals q @ grad: one kernel call gives both
                 q = self.clamp(p)
-                return (ber_approx(self.c, q, self.problem.eve_link),
-                        grad_ber_approx(self.c, q, self.problem.eve_link))
-            return fg
-        if v == "unknown_csi_symmetric":
-            off = -0.5 * math.log2(1.0 + self.snr_scale * self.c.peak_a**2)
-
-            def fg(p):
-                h, g = self.grid_b.entropy_and_gradient(p)
-                return h + self.cap_b_const + off, g
+                g = grad_ber_approx(self.c, q, self.problem.eve_link)
+                return float(q @ g), g
             return fg
         # unknown_csi: minorize the (convex, increasing) -1/2 log2(1+c(A^2-t))
-        # term at t_k and push t to its linear minorant -s_k^2 + 2 s_k a.p
+        # term at t_k and push t to its linear minorant -s_k^2 + 2 s_k a.p.
+        # The symmetric variant's iterates are exactly mirror-symmetric, so
+        # there s_k is exactly 0 and the minorant is the constant term.
         a = self.c.amplitudes
         s_k = signed_amplitude_mean(self.c, p_k)
         t_k = s_k**2

@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ from pcs_shaper.cli import (
     EXIT_NONCONVERGENCE,
     EXIT_OK,
     ExperimentConfig,
-    _section,
     default_paper_config,
     main,
     resolve_point,
@@ -169,7 +169,44 @@ def test_omitted_section_keys_take_the_paper_values():
     want, got = resolve_point(full, 26.0).problem, resolve_point(sparse, 26.0).problem
     assert got.bob_link == want.bob_link and got.eve_link == want.eve_link
     assert got.constraints == want.constraints and got.dc_bias == want.dc_bias
-    assert _section(sparse, "montecarlo") == full.montecarlo
+    assert sparse.montecarlo == full.montecarlo
+
+
+def test_omitted_solver_keys_take_the_paper_values():
+    full = default_paper_config()
+    sparse = ExperimentConfig.from_dict({"power_dbm": [25.0], "solver": {"n_starts": 2}})
+    assert sparse.solver == {**full.solver, "n_starts": 2}
+    assert sparse.solver["seed"] == 2024
+
+
+@pytest.mark.parametrize("key, value", [
+    ("power_dbm", ["abc"]), ("power_dbm", [None]), ("power_dbm", 25.0),
+    ("power_dbm", {"start": 20, "stop": 21, "step": 0}),
+    ("modulation_order", 8.5), ("modulation_order", "8"),
+    ("peak_amplitude", "abc"), ("output", 5),
+])
+def test_malformed_top_level_value_is_a_config_error(tmp_path, key, value):
+    cfg = mini_config(**{"scenario": "design_known", "power_dbm": [28.0], key: value})
+    path = write_config(tmp_path, cfg)
+    assert run(str(path), out_dir=str(tmp_path)) == EXIT_CONFIG
+
+
+def test_replace_checks_the_config_again():
+    with pytest.raises(ConfigError):
+        replace(default_paper_config(), power_dbm=[])
+
+
+def test_csv_header_is_the_resolved_config(tmp_path):
+    sparse = {"scenario": "design_qos", "modulation_order": 4, "power_dbm": [27.0],
+              "eve": {"quality_ratio": 10.0}, "solver": {"n_starts": 2},
+              "output": "qos.csv"}
+    path = write_config(tmp_path, sparse)
+    assert run(str(path), out_dir=str(tmp_path)) == EXIT_OK
+    header = (tmp_path / "qos.csv").read_text().splitlines()[0]
+    resolved = json.loads(header[len("# config: "):])
+    full = default_paper_config().to_dict()
+    assert resolved == {**full, **sparse, "variant": "qos_max_eve_ber",
+                        "solver": {**full["solver"], "n_starts": 2}}
 
 
 def test_infeasible_exit_code(tmp_path):

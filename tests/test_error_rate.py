@@ -9,6 +9,7 @@ from scipy.special import erfc
 from pcs_shaper.channel import LinkBudget
 from pcs_shaper.constellation import Distribution, PamConstellation, build_constellation
 from pcs_shaper.error_rate import (
+    ACTIVE_SUPPORT_FLOOR,
     PairwiseGeometry,
     ber_approx,
     ber_upper_bound,
@@ -292,3 +293,14 @@ def test_bounds_equal_the_scalar_pairwise_sums(instance):
         _scalar_pair_sum(c, p, link, adjacent=False), rel=1e-12, abs=1e-300)
     assert ser_approx(c, p, link) == pytest.approx(
         _scalar_pair_sum(c, p, link, adjacent=True), rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=200)
+@given(_bound_instances())
+def test_bounds_equal_their_euler_sums(instance):
+    """Both bounds are homogeneous of degree 1 in p, so each equals q @ grad."""
+    c, p, link = instance
+    q = np.maximum(p, ACTIVE_SUPPORT_FLOOR)
+    for value, grad in ((ber_upper_bound, grad_ber_upper), (ber_approx, grad_ber_approx)):
+        assert float(q @ grad(c, q, link)) == pytest.approx(
+            value(c, q, link), rel=1e-12, abs=1e-300)
