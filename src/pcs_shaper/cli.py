@@ -77,6 +77,16 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _fits(value, paper) -> bool:
+    """Whether ``value`` has the type of the paper value it replaces: a string,
+    an int, null or a number (``led.i_max``), else a finite number."""
+    if isinstance(paper, str):
+        return isinstance(value, str)
+    if isinstance(paper, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    return (paper is None and value is None) or _is_number(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment, complete and checked once it is built.
@@ -84,7 +94,8 @@ class ExperimentConfig:
     However it is made (``from_dict``, ``dataclasses.replace`` or the
     constructor), every section holds its ``_PAPER`` values under the given
     ones, ``variant`` is the variant the scenario solves, and ``power_dbm`` is
-    a list of floats.  A malformed value or an unknown key is a ConfigError.
+    a list of floats.  A malformed value, a section value whose type is not
+    that of its ``_PAPER`` value, or an unknown key is a ConfigError.
     """
 
     scenario: str = "sweep_power"
@@ -114,6 +125,11 @@ class ExperimentConfig:
             if extra:
                 raise ConfigError(f"unknown {name} keys: {sorted(extra)}")
             object.__setattr__(self, name, {**_PAPER.get(name, {}), **given})
+            for key, value in given.items():
+                paper = _PAPER.get(name, {}).get(key, 0.0)     # eve keys are numbers
+                if not _fits(value, paper):
+                    raise ConfigError(f"{name}.{key} must have the type of "
+                                      f"{paper!r}, got {value!r}")
         if all(k in self.eve for k in _EVE_KEYS):
             raise ConfigError(f"eve takes one of {_EVE_KEYS}, not both")
         CccpSettings(**self.solver)     # rejects out-of-range solver values

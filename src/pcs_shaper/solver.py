@@ -17,20 +17,13 @@ against the least of the last ten accepted values (Grippo-Lampariello-Lucidi),
 a stop when the best value stalls, and an exact projection onto the simplex
 intersected with the mirror-symmetry subspace (symmetric mode) and at most two
 rows ``lo <= g @ p <= hi``: the flicker slab and the current reliability
-tangent.  The projection is the sort-based simplex
-projection of ``v - theta @ G`` at the rows' KKT multipliers theta.  Each
-multiplier is the root of a monotone piecewise-linear function of one
-variable, found by bracketed Newton steps whose slopes come from the simplex
-projection's face Jacobian; the second row's search wraps the first's.  One
-projector serves a whole start: each outer iteration swaps in its tangent row
-and keeps the warm multipliers.  Each search starts where the last face
-predicts its root: a call moves the multipliers along the last call's face by
-the change of its point, and each step of the second row's search moves the
-first row's multiplier along the current face.  Within an inner solve the
-KKT probes, close to the iterate, keep the projector's multipliers, and the
-spectral steps, often far outside the set, keep their own in a fork.  A start
-only sets how many simplex projections a search takes: each search stops at
-the same tolerances, so the projection does not depend on it beyond them.
+tangent.  On a guessed face (support and binding rows) the projection is one
+closed-form solve with an at most 2x2 Gram matrix; a call guesses the last
+call's face and moves by the primal-dual active-set rule, or walks the dual
+where that rule cycles.  One projector serves a whole start: each outer
+iteration swaps in its tangent row and keeps the warm multipliers.  Within an
+inner solve the KKT probes keep the projector's multipliers and face, and the
+spectral steps, often far outside the set, keep their own in a fork.
 No external convex-programming solver is involved.
 """
 from __future__ import annotations
@@ -68,7 +61,6 @@ __all__ = [
 VARIANTS = ("known_csi", "unknown_csi", "unknown_csi_symmetric", "qos_max_eve_ber")
 
 _FEAS_TOL = 1e-13       # projection constraint-violation target
-_MAX_ROOT_STEPS = 200    # Newton/bisection steps per multiplier search
 _ARMIJO = 1e-4           # sufficient-ascent fraction of the directional derivative
 _MAX_BACKTRACKS = 60
 _GLL_MEMORY = 10         # accepted values behind the nonmonotone reference
@@ -164,27 +156,12 @@ def _symmetrize(v: np.ndarray) -> np.ndarray:
 
 
 class _Row(NamedTuple):
-    """A row ``lo <= g @ p <= hi`` and the constants of its multiplier search."""
+    """A row ``lo <= g @ p <= hi``."""
 
     g: np.ndarray
     lo: float
     hi: float
     tol: float      # accepted row-value error
-    unit: float     # least Newton step cap, 1 / spread (spread: the range of g)
-    flat: float     # slopes above this (-1e-12 spread**2) count as flat
-
-
-def _row(g: np.ndarray, lo: float, hi: float) -> _Row:
-    spread = float(g.max() - g.min())
-    tol = _FEAS_TOL * (1.0 + max((abs(b) for b in (lo, hi) if math.isfinite(b)),
-                                 default=0.0))
-    return _Row(g, lo, hi, tol, 1.0 / spread if spread > 0 else 1.0, -1e-12 * spread**2)
-
-
-def _face_dot(support: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """``a @ J @ b`` for the Jacobian J of project_to_simplex on the face ``support``."""
-    a_s, b_s = a[support], b[support]
-    return float(a_s @ b_s - a_s.sum() * b_s.sum() / a_s.size)
 
 
 def _value_range(g: np.ndarray, cut: _Row | None = None) -> tuple[float, float]:
@@ -205,68 +182,32 @@ def _value_range(g: np.ndarray, cut: _Row | None = None) -> tuple[float, float]:
     return (float(vals.min()), float(vals.max())) if vals.size else (math.inf, -math.inf)
 
 
-def _multiplier(resid, t: float, row: _Row):
-    """KKT multiplier of ``row`` from the warm start t.
-
-    ``resid(t)`` returns the row value r (non-increasing, piecewise linear in
-    t), its slope and the projected point.  At the returned ``(t, x)``, r = hi
-    if t > 0, r = lo if t < 0, and r lies in [lo, hi] if t = 0.  Newton steps
-    are capped at ``max(2|t|, row.unit)``, stop at 0 and bisect the bracket
-    when they leave it; slopes above ``row.flat`` count as flat.  The start
-    only decides how many steps the search takes: any t it returns meets
-    these conditions within ``row.tol``.
-    """
-    lo, hi, tol = row.lo, row.hi, row.tol
-    left, right = -math.inf, math.inf
-    for _ in range(_MAX_ROOT_STEPS):
-        r, slope, x = resid(t)
-        want_lo, want_hi = (lo if t <= 0 else hi), (hi if t >= 0 else lo)
-        if r > want_hi + tol:
-            left, target = t, want_hi
-        elif r < want_lo - tol:
-            right, target = t, want_lo
-        else:
-            return t, x
-        step = (r - target) / -slope if slope < row.flat else math.inf
-        new = t + math.copysign(min(abs(step), max(2.0 * abs(t), row.unit)), r - target)
-        if t * new < 0:
-            new = 0.0
-        if not left < new < right:
-            new = 0.5 * (left + right)
-            if not left < new < right:
-                break
-        t = new
-    raise NonConvergenceError("projection multiplier search did not converge")
-
-
 class _Projector:
     """Exact projection onto {simplex [∩ mirror subspace] ∩ ``lo <= g @ p <= hi`` rows}.
 
     Symmetric mode pre-symmetrizes the point and the rows (the simplex is
-    invariant under index reversal).  The point is ``x = P(v - theta @ G)``,
-    P the simplex projection, at the rows' KKT multipliers theta.  On one
-    face of P the binding rows' multipliers are affine in v and in each
-    other, with the face Gram matrix ``K = G J G^T`` (J: P's Jacobian there)
-    as coefficients.  Two warm starts follow from it:
-
-    * each call moves the binding rows' multipliers by ``K^-1 G J (v - v')``
-      from the last call's ``v'``, on that call's face;
-    * row 1's search wraps row 0's, its slope the Schur complement of K, and
-      each of its steps from t to t' moves row 0's multiplier by
-      ``-(k01 / k00) (t' - t)`` before row 0's search starts.
-
-    Multipliers stay warm across calls and row swaps (a swap drops the last
-    face): a call at which they are still optimal costs one simplex
-    projection.  A caller whose points lie elsewhere keeps its own
-    multipliers and last point in a :meth:`fork`.  The starts only set the
-    cost: the projection is unique, and every search ends at the same
-    tolerances.
+    invariant under index reversal).  The projection of v is
+    ``x = max(v - theta @ G + lambda, 0)`` at the rows' KKT multipliers theta.
+    On a face (the support S of x and the binding rows, each at the side of
+    its theta's sign) theta and x are one closed-form solve, :meth:`_solve`.
+    A call guesses the last call's face (a cold call takes S from the simplex
+    projection at the warm theta) and accepts it when ``y = v - theta @ G +
+    lambda`` is positive exactly on S, each binding theta has its side's sign
+    and each free row holds.  Otherwise the primal-dual active-set rule
+    (Hintermüller, Ito & Kunisch, SIAM J. Optim. 13, 2002) gives the next
+    face: S where y > 0, the rows whose theta has the right sign and the
+    violated rows.  On a repeated or singular face, or after 2M + 4 faces,
+    the call walks the dual from the warm theta instead: each step moves
+    theta toward the top of the dual's quadratic model on the face, up to the
+    first breakpoint (an index entering or leaving S, a theta reaching 0).  A
+    caller whose points lie elsewhere keeps its own theta and face in a
+    :meth:`fork`.
     """
 
     def __init__(self, rows=(), symmetric: bool = False):
         self.symmetric = symmetric
-        self.rows, self.theta = [], []
-        self.last = None    # (v, support of its projection) of the last call
+        self.rows, self.theta = [], np.zeros(0)
+        self.last = None    # (face, sides) of the last call
         for k, (g, lo, hi) in enumerate(rows):
             self.set_row(k, g, lo, hi)
 
@@ -277,9 +218,13 @@ class _Projector:
         g = _symmetrize(g) if self.symmetric else np.asarray(g, dtype=float)
         if k == len(self.rows):
             self.rows.append(None)
-            self.theta.append(0.0)
-        self.rows[k] = _row(g, float(lo), float(hi))
+            self.theta = np.append(self.theta, 0.0)
+        lo, hi = float(lo), float(hi)
+        bound = max((abs(b) for b in (lo, hi) if math.isfinite(b)), default=0.0)
+        self.rows[k] = _Row(g, lo, hi, _FEAS_TOL * (1.0 + bound))
         self.g = np.array([row.g for row in self.rows])
+        # Gram entries at or below 1e-12 max|g|**2 are rounding
+        self.flat = [1e-12 * float(np.abs(row.g).max()) ** 2 for row in self.rows]
         self.last = None        # the last face says nothing about a new row
         for i, row in enumerate(self.rows):
             least, most = _value_range(row.g, self.rows[0] if i else None)
@@ -287,84 +232,131 @@ class _Projector:
                 raise InfeasibleError("constraint set is empty")
 
     def fork(self) -> "_Projector":
-        """A projector onto the same set whose multipliers start at these and
-        then move on their own; valid until the next ``set_row``."""
+        """A copy whose multipliers and face move on their own, until ``set_row``."""
         twin = copy.copy(self)
-        twin.theta = list(self.theta)
+        twin.theta = self.theta.copy()
         return twin
 
-    def _gram(self, support: np.ndarray) -> np.ndarray:
-        """``G J G^T`` for the Jacobian J of P on the face ``support``."""
-        g_s = self.g.compress(support, axis=1)
-        sums = g_s.sum(axis=1)
-        return g_s @ g_s.T - sums[:, None] * (sums / g_s.shape[1])
+    def _gram(self, support: np.ndarray):
+        """The face ``support``: its 0/1 mask, size and sign (-1 on it), the rows
+        centred on it (``G J``, 0 off it), ``K = G J G^T`` and their means on it."""
+        mask = support.astype(float)
+        n = np.count_nonzero(support)
+        mean = self.g @ mask / n
+        g_c = (self.g - mean[:, None]) * mask
+        return support, mask, n, 1.0 - 2.0 * mask, g_c, (g_c @ g_c.T).tolist(), mean.tolist()
 
-    def _predict(self, v: np.ndarray) -> None:
-        """Move the binding rows' multipliers to where the last call's face puts v's.
+    def _solve(self, v, face, sides):
+        """The face solve: ``c_B = G_B (J v_S + 1/|S|) - b_B``, ``theta_B =
+        K_BB^-1 c_B`` (None when K_BB is singular), ``y = v - theta @ G + lambda``."""
+        _, mask, n, _, g_c, k, mean = face
+        c, theta, flat = [0.0] * len(sides), np.zeros(len(sides)), self.flat
+        bound = [i for i, s in enumerate(sides) if s]
+        if bound:
+            c = [r + m - (row.hi if s > 0 else row.lo) if s else 0.0
+                 for r, m, s, row in zip((g_c @ v).tolist(), mean, sides, self.rows)]
+            if len(bound) == 1:
+                i = bound[0]
+                if not k[i][i] > flat[i]:
+                    return c, None, None
+                theta[i] = c[i] / k[i][i]
+            else:
+                (k00, k01), (_, k11) = k
+                det = k00 * k11 - k01 * k01
+                if not (k00 > flat[0] and k11 > flat[1] and det > 1e-12 * k00 * k11):
+                    return c, None, None
+                theta[:] = (k11 * c[0] - k01 * c[1]) / det, (k00 * c[1] - k01 * c[0]) / det
+        y = v - theta @ self.g
+        return c, theta, y + (1.0 - y @ mask) / n
 
-        A multiplier the move would carry across 0 starts at 0, as in
-        :func:`_multiplier`.  On a face where a binding row is flat, or where
-        two binding rows are so close to dependent that ``det K`` is under
-        1e-2 of ``k00 k11``, a move would be mostly rounding, and the
-        multipliers stay where they are.
-        """
-        binding = [i for i, t in enumerate(self.theta) if t != 0.0]
-        if not binding:
-            return
-        w, support = self.last
-        d = (v - w)[support]
-        b = self.g.compress(support, axis=1) @ (d - d.mean())    # G J (v - w)
-        k = self._gram(support)
-        if not all(k[i, i] > -self.rows[i].flat for i in binding):
-            return
-        if len(binding) == 1:
-            moves = {binding[0]: b[binding[0]] / k[binding[0], binding[0]]}
-        else:
-            det = k[0, 0] * k[1, 1] - k[0, 1] ** 2
-            if not det > 1e-2 * k[0, 0] * k[1, 1]:
-                return
-            moves = {0: (k[1, 1] * b[0] - k[0, 1] * b[1]) / det,
-                     1: (k[0, 0] * b[1] - k[0, 1] * b[0]) / det}
-        for i, move in moves.items():
-            t = self.theta[i] + move
-            self.theta[i] = t if t * self.theta[i] > 0 else 0.0
+    def _cold(self, v, theta):
+        """The face of the simplex projection at theta and the rows' sides there."""
+        x = project_to_simplex(v - theta @ self.g)
+        return self._gram(x > 0), self._sides(x, theta)
+
+    def _sides(self, x, theta, sides=None):
+        """Next sides: a binding row (default: theta != 0) keeps its side while
+        theta has its sign; a free row takes the side of the bound x violates."""
+        if sides is None:
+            sides = tuple(int(t > 0) - int(t < 0) for t in theta.tolist())
+        r = (self.g @ x).tolist() if not all(sides) else None
+        return tuple((s if t * s > 0 else 0) if s else
+                     1 if r[i] > row.hi + row.tol else -1 if r[i] < row.lo - row.tol else 0
+                     for i, (t, s, row) in enumerate(zip(theta.tolist(), sides, self.rows)))
+
+    def _flat_ascent(self, k: np.ndarray, rho: np.ndarray, sides) -> np.ndarray:
+        """On a singular face, rho's part (on the rows with a side) along K's null
+        space, where the dual's model rises without bound, else the step to its top."""
+        d = np.where(np.array(sides) != 0, rho, 0.0)
+        if np.count_nonzero(sides) < 2 or not k.trace() > max(self.flat):
+            return d
+        u = k[np.argmax(k.diagonal())]
+        u = u / math.hypot(*u)          # K = trace(K) u u^T
+        along = u[0] * d[1] - u[1] * d[0]     # along the null vector (-u1, u0)
+        if abs(along) > 1e-12 * np.abs(d).max():
+            return np.array([-u[1], u[0]]) * along
+        return u * (u @ d) / k.trace()
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         v = _symmetrize(v) if self.symmetric else np.asarray(v, dtype=float)
         if not self.rows:
             return project_to_simplex(v)
-        if self.last is not None:
-            self._predict(v)
-        g0 = self.rows[0].g
-
-        def row0(w):
-            def resid(t):
-                x = project_to_simplex(w - t * g0)
-                return float(g0 @ x), -_face_dot(x > 0, g0, g0), x
-            self.theta[0], x = _multiplier(resid, self.theta[0], self.rows[0])
-            return x
-
-        if len(self.rows) == 1:
-            x = row0(v)
-        else:
-            g1 = self.rows[1].g
-            face = None         # (t, d theta[0] / dt) on the last evaluation's face
-
-            def resid(t):
-                nonlocal face
-                if face is not None:
-                    self.theta[0] += face[1] * (t - face[0])
-                x = row0(v - t * g1)
-                k = self._gram(x > 0)
-                slope, face = k[1, 1], (t, 0.0)
-                if self.theta[0] != 0.0 and k[0, 0] > 0:
-                    # row 0 held at its bound: theta[0] = const - (k01 / k00) t
-                    slope -= k[0, 1] ** 2 / k[0, 0]
-                    face = (t, -k[0, 1] / k[0, 0])
-                return float(g1 @ x), -slope, x
-            self.theta[1], x = _multiplier(resid, self.theta[1], self.rows[1])
-        self.last = v, x > 0
-        return x
+        face, sides = self.last or self._cold(v, self.theta)
+        eps = 1e-15 * (1.0 + np.abs(v).max())      # rounding in y
+        seen, walk = set(), None    # walk: None, then () or the direction a pivot keeps
+        for step in range(40 * v.size + 100):      # random walks took up to 82 steps
+            c, new, y = self._solve(v, face, sides)
+            support, mask, n, sign = face[:4]
+            if new is not None:
+                x = np.maximum(y * mask, 0.0)
+                hold = self._sides(x, new, sides)
+                if hold == sides and (y * sign).max() <= eps:
+                    self.theta, self.last = new, (face, sides)
+                    return x
+            if walk is None:
+                seen.add((support.tobytes(), sides))
+                if new is not None and step < 2 * v.size + 4:
+                    support = y > eps * sign
+                    if (support.tobytes(), hold) not in seen:
+                        face = self._gram(support) if (support ^ face[0]).any() else face
+                        sides = hold
+                        continue
+                theta, walk = self.theta, ()
+                face, sides = self._cold(v, theta)
+                continue
+            # walk: from theta toward the top of the dual's quadratic model on
+            # this face (a free row the model would carry below 0 stays at
+            # 0), up to the first breakpoint
+            k = np.array(face[5])
+            rho = np.array(c) - k @ theta
+            d, moving = walk, sides
+            while not len(d):
+                _, new, _ = self._solve(v, face, moving)
+                d = new - theta if new is not None else self._flat_ascent(k, rho, moving)
+                kept = tuple(0 if t == 0.0 and s * di < 0 else s
+                             for t, s, di in zip(theta.tolist(), moving, d.tolist()))
+                d, moving = (d, moving) if kept == moving else ((), kept)
+            curv = d @ k @ d
+            top = (d @ rho) / curv if curv > np.dot(self.flat, d * d) else math.inf
+            y = v - theta @ self.g
+            y += (1.0 - y @ mask) / n
+            dg = d @ self.g
+            rate = dg @ mask / n - dg           # dy / d(step)
+            rate[np.abs(rate) <= 1e-12 * np.abs(dg).max()] = 0.0     # rounding
+            with np.errstate(divide="ignore", invalid="ignore"):
+                flip = np.where(np.where(support, rate < 0, rate > 0),
+                                np.maximum(-y / rate, 0.0), math.inf)
+                cross = np.where(theta * d < 0, -theta / d, math.inf)
+            alpha = min(top, flip.min(), cross.min())
+            if not math.isfinite(alpha):
+                raise NonConvergenceError("the projection's dual is unbounded")
+            theta = np.where(cross <= alpha, 0.0, theta + alpha * d)
+            walk = d if alpha == 0.0 else ()    # a pivot in place keeps its direction
+            face = self._gram(support ^ (flip <= alpha))
+            y = v - theta @ self.g
+            x = np.maximum((y + (1.0 - y @ face[1]) / face[2]) * face[1], 0.0)
+            sides = self._sides(x, theta)
+        raise NonConvergenceError("the projection did not settle on a face")
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +392,8 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
     The KKT probes, within a unit step of the iterate, go through
     ``project`` itself; the spectral steps, up to a few simplex diameters
     away, go through a fork of it made after the first probe.  Each stream
-    then starts its projections from its own multipliers, and ``project`` is
-    left at those of the last probe, next to the point returned.
+    then guesses its faces from its own last call, and ``project`` is left
+    at the last probe's face, next to the point returned.
     """
     p = project(np.asarray(x0, dtype=float))
     f, g = value_and_grad(p)
@@ -425,7 +417,7 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
     for _ in range(max_iter):
         if kkt_at_best():
             return best[0], best[1], "kkt"
-        if step is None:            # the first step starts from the first probe's multipliers
+        if step is None:            # the first step starts from the first probe's face
             step = project.fork()
         # a displacement of a few simplex diameters reaches every face; a
         # short step can drown in the projection's rounding, so retry long

@@ -154,6 +154,22 @@ def test_misspelt_section_key_is_a_config_error(tmp_path, section, key):
     assert run(str(path), out_dir=str(tmp_path)) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("scenario, section, key, value", [
+    ("design_known", "led", "height", "abc"),
+    ("design_known", "eve", "quality_ratio", "abc"),
+    ("design_known", "solver", "seed", "x"),
+    ("design_known", "noise", "bandwidth", None),
+    ("design_known", "solver", "n_starts", 2.5),
+    ("sweep_power", "montecarlo", "n_symbols", "x"),
+])
+def test_section_value_of_the_wrong_type_is_a_config_error(tmp_path, scenario, section,
+                                                           key, value):
+    cfg = mini_config(scenario=scenario, power_dbm=[28.0])
+    cfg[section] = {**cfg[section], key: value}
+    path = write_config(tmp_path, cfg)
+    assert run(str(path), out_dir=str(tmp_path)) == EXIT_CONFIG
+
+
 def test_eve_takes_a_position_or_a_quality_ratio_not_both(tmp_path):
     cfg = mini_config()
     cfg["eve"] = {"quality_ratio": 10.0, "radial_offset": 1.0}

@@ -272,7 +272,7 @@ def test_projector_matches_oracle_in_symmetric_mode(instance):
     _check_projection_against_oracle(*instance, symmetric=True)
 
 
-def test_projector_warm_hit_costs_one_simplex_projection(monkeypatch):
+def test_projector_warm_hit_makes_no_simplex_projection(monkeypatch):
     rng = np.random.default_rng(132)
     v = rng.standard_normal(8)
     a = np.linspace(-1.0, 1.0, 8)
@@ -282,33 +282,42 @@ def test_projector_warm_hit_costs_one_simplex_projection(monkeypatch):
     calls = []
     monkeypatch.setattr("pcs_shaper.solver.project_to_simplex",
                         lambda w: calls.append(1) or project_to_simplex(w))
+    # a repeated point is solved on the last call's face
     assert np.array_equal(project(v), first)
+    assert len(calls) == 0
+    # a new row leaves no last face: the cold call finds one by a simplex projection
+    project.set_row(1, rng.standard_normal(8), -math.inf, 0.1)
+    project(v)
     assert len(calls) == 1
 
 
 @st.composite
-def _projection_sequences(draw):
+def _projection_sequences(draw, scales=(0.1, 1.0, 10.0), symmetric=False):
     """(rows, swap, points, others): a slab and a tangent row around a common
     interior point, the tangent that replaces it at ``points[swap]``, and two
-    point sequences with some points far outside the set."""
-    m = draw(st.integers(2, 16))
+    point sequences with some points far outside the set.  Symmetric mode has
+    the tangent row alone, around a mirror-symmetric point, as in the design
+    loop."""
+    m = draw(st.integers(4 if symmetric else 2, 16))
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
     inside = np.array(weights) / sum(weights)
+    if symmetric:
+        inside = 0.5 * (inside + inside[::-1])
 
     def row(two_sided):
         g = draw(_vectors(m, 1.0))
-        assume(np.ptp(g) > 0.1)
+        assume(np.ptp(0.5 * (g + g[::-1]) if symmetric else g) > 0.1)
         gap = draw(st.floats(1e-3, 0.5))
         return (g, float(g @ inside) - gap, float(g @ inside) + gap) if two_sided \
             else (g, -math.inf, float(g @ inside) + gap)
 
     def points(n):
-        return [draw(_vectors(m, 1.0)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+        return [draw(_vectors(m, 1.0)) * draw(st.sampled_from(scales))
                 for _ in range(n)]
 
     n = draw(st.integers(5, 8))
-    return [row(True), row(False)], draw(st.integers(1, n - 1)), row(False), \
-        points(n), points(n)
+    rows = [row(False)] if symmetric else [row(True), row(False)]
+    return rows, draw(st.integers(1, n - 1)), row(False), points(n), points(n)
 
 
 @settings(max_examples=60)
@@ -330,6 +339,35 @@ def test_warm_multipliers_never_change_the_projection(instance):
         for g, lo, hi in current:
             tol = _FEAS_TOL * (1.0 + max(abs(b) for b in (lo, hi) if math.isfinite(b)))
             assert lo - tol <= g @ got <= hi + tol
+
+
+@settings(max_examples=200)
+@given(st.one_of(_projection_sequences(scales=(100.0, 1000.0)).map(lambda i: (i, False)),
+                 _projection_sequences(scales=(100.0, 1000.0), symmetric=True)
+                 .map(lambda i: (i, True))))
+def test_projector_never_raises_far_outside_the_set(case):
+    (rows, swap, new_row, points, others), symmetric = case
+    warm, elsewhere = _Projector(rows, symmetric), _Projector(rows, symmetric)
+    current = list(rows)
+    for i, (v, other) in enumerate(zip(points, others)):
+        if i == swap:
+            for project in (warm, elsewhere):
+                project.set_row(len(rows) - 1, *new_row)
+            current[-1] = new_row
+        elsewhere(other)
+        got = warm(v)
+        # the face solve centres v on the support: entries of size |v| cancel
+        # to entries of x below 1, so x and each row value carry a rounding
+        # of about M eps |v|, which the tolerances scale with
+        scale = 1.0 + np.abs(v).max()
+        for x in (_Projector(current, symmetric)(v), elsewhere(v), warm.fork()(v)):
+            assert np.abs(got - x).max() <= 1e-13 * scale
+        assert got.min() >= 0.0 and abs(got.sum() - 1.0) <= 1e-13 * scale
+        for g, lo, hi in current:
+            if symmetric:
+                g = 0.5 * (g + g[::-1])
+            tol = _FEAS_TOL * (1.0 + max(abs(b) for b in (lo, hi) if math.isfinite(b)))
+            assert lo - tol * scale <= g @ got <= hi + tol * scale
 
 
 def test_qos_solve_stays_within_a_projection_budget(receiver, noise_params,
