@@ -318,9 +318,8 @@ class EntropyGrid:
         """Vector I with I_m = -integral pdf_m(y) log2 f(y) dy, in bits."""
         p = np.asarray(p, dtype=float)
         f = p @ self._pdf
-        with np.errstate(divide="ignore"):
-            log2f = np.where(f > 0, np.log2(np.where(f > 0, f, 1.0)), 0.0)
-        return -(self._wpdf @ log2f) + self._log_sigma
+        log2f = np.log2(f, out=np.zeros_like(f), where=f > 0)
+        return self._log_sigma - self._wpdf @ log2f
 
     def entropy(self, p) -> float:
         p = np.asarray(p, dtype=float)

@@ -51,7 +51,7 @@ class PamConstellation:
     gray_codes: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        check_power_of_two("order_m", self.order_m)
+        object.__setattr__(self, "order_m", check_power_of_two("order_m", self.order_m))
         check_positive("peak_a", self.peak_a)
         amps = np.asarray(self.amplitudes, dtype=float)
         if amps.shape != (self.order_m,):
@@ -69,7 +69,7 @@ class PamConstellation:
 
     @property
     def bits_per_symbol(self) -> int:
-        return int(np.log2(self.order_m))
+        return self.order_m.bit_length() - 1
 
 
 def build_constellation(order_m: int, peak_a: float) -> PamConstellation:

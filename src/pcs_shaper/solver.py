@@ -21,14 +21,12 @@ tangent.  On a guessed face (support and binding rows) the projection is one
 closed-form solve with an at most 2x2 Gram matrix; a call guesses the last
 call's face and moves by the primal-dual active-set rule, or walks the dual
 where that rule cycles.  One projector serves a whole start: each outer
-iteration swaps in its tangent row and keeps the warm multipliers.  Within an
-inner solve the KKT probes keep the projector's multipliers and face, and the
-spectral steps, often far outside the set, keep their own in a fork.
+iteration swaps in its tangent row and keeps the warm multipliers, and the
+spectral steps and the few KKT probes that they cannot rule out share it.
 No external convex-programming solver is involved.
 """
 from __future__ import annotations
 
-import copy
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -199,9 +197,7 @@ class _Projector:
     violated rows.  On a repeated or singular face, or after 2M + 4 faces,
     the call walks the dual from the warm theta instead: each step moves
     theta toward the top of the dual's quadratic model on the face, up to the
-    first breakpoint (an index entering or leaving S, a theta reaching 0).  A
-    caller whose points lie elsewhere keeps its own theta and face in a
-    :meth:`fork`.
+    first breakpoint (an index entering or leaving S, a theta reaching 0).
     """
 
     def __init__(self, rows=(), symmetric: bool = False):
@@ -231,12 +227,6 @@ class _Projector:
             if max(row.lo, least) > min(row.hi, most):
                 raise InfeasibleError("constraint set is empty")
 
-    def fork(self) -> "_Projector":
-        """A copy whose multipliers and face move on their own, until ``set_row``."""
-        twin = copy.copy(self)
-        twin.theta = self.theta.copy()
-        return twin
-
     def _gram(self, support: np.ndarray):
         """The face ``support``: its 0/1 mask, size and sign (-1 on it), the rows
         centred on it (``G J``, 0 off it), ``K = G J G^T`` and their means on it."""
@@ -248,7 +238,8 @@ class _Projector:
 
     def _solve(self, v, face, sides):
         """The face solve: ``c_B = G_B (J v_S + 1/|S|) - b_B``, ``theta_B =
-        K_BB^-1 c_B`` (None when K_BB is singular), ``y = v - theta @ G + lambda``."""
+        K_BB^-1 c_B`` (None when K_BB is singular and c_B outside its range),
+        ``y = v - theta @ G + lambda``."""
         _, mask, n, _, g_c, k, mean = face
         c, theta, flat = [0.0] * len(sides), np.zeros(len(sides)), self.flat
         bound = [i for i, s in enumerate(sides) if s]
@@ -263,9 +254,14 @@ class _Projector:
             else:
                 (k00, k01), (_, k11) = k
                 det = k00 * k11 - k01 * k01
-                if not (k00 > flat[0] and k11 > flat[1] and det > 1e-12 * k00 * k11):
+                regular = det > 1e-12 * k00 * k11
+                # rows parallel on the face bind on one hyperplane when c lies in
+                # K's range; theta is then the least-norm solution K c / trace(K)^2
+                if not (k00 > flat[0] and k11 > flat[1] and (regular or abs(
+                        k00 * c[1] - k01 * c[0]) <= 1e-12 * k00 * max(map(abs, c)))):
                     return c, None, None
-                theta[:] = (k11 * c[0] - k01 * c[1]) / det, (k00 * c[1] - k01 * c[0]) / det
+                theta[:] = ((k11 * c[0] - k01 * c[1]) / det, (k00 * c[1] - k01 * c[0]) / det) \
+                    if regular else np.array(k) @ c / (k00 + k11) ** 2
         y = v - theta @ self.g
         return c, theta, y + (1.0 - y @ mask) / n
 
@@ -343,7 +339,7 @@ class _Projector:
             dg = d @ self.g
             rate = dg @ mask / n - dg           # dy / d(step)
             rate[np.abs(rate) <= 1e-12 * np.abs(dg).max()] = 0.0     # rounding
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 flip = np.where(np.where(support, rate < 0, rate > 0),
                                 np.maximum(-y / rate, 0.0), math.inf)
                 cross = np.where(theta * d < 0, -theta / d, math.inf)
@@ -389,11 +385,12 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
     iterations), ``"no_ascent"`` (no ascent direction, or the backtrack
     collapsed) or ``"iter_cap"``.
 
-    The KKT probes, within a unit step of the iterate, go through
-    ``project`` itself; the spectral steps, up to a few simplex diameters
-    away, go through a fork of it made after the first probe.  Each stream
-    then guesses its faces from its own last call, and ``project`` is left
-    at the last probe's face, next to the point returned.
+    Each iteration projects its spectral step first and probes KKT at the
+    best point only where the step cannot rule KKT out: ``|P(p + t g) - p|_2``
+    rises and ``|P(p + t g) - p|_2 / t`` falls in t (Calamai & Moré, Math.
+    Programming 39, 1987, Lemma 2.2), so the probe at the iterate, of step
+    ``t0 = 1 / max(|g|_inf, 1)``, fails where ``min(1, t0 / lam) |d|_2 /
+    sqrt(M)`` exceeds ``2 kkt_tol``.  The probes and steps share ``project``.
     """
     p = project(np.asarray(x0, dtype=float))
     f, g = value_and_grad(p)
@@ -413,22 +410,25 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
         return best[0], best[1], "kkt" if kkt_at_best() else reason
 
     lam = 1.0 / max(np.abs(g).max(), 1.0)
-    step = None
     for _ in range(max_iter):
-        if kkt_at_best():
-            return best[0], best[1], "kkt"
-        if step is None:            # the first step starts from the first probe's face
-            step = project.fork()
         # a displacement of a few simplex diameters reaches every face; a
         # short step can drown in the projection's rounding, so retry long
-        cap = 4.0 / max(np.abs(g).max(), 1e-12)
+        g_max = float(np.abs(g).max())
+        cap = 4.0 / max(g_max, 1e-12)
         for lam in (min(lam, cap), cap):
-            d = step(p + lam * g) - p
+            d = project(p + lam * g) - p
             gd = float(g @ d)
             if gd > 0 and np.abs(d).max() >= _MIN_STEP:
                 break
         else:
             return stop("no_ascent")
+        # the step's lower bound on the probe's residual is tight up to
+        # rounding, so it rules the probe out only with a factor 2 to spare
+        if best[0] is p and min(1.0, 1.0 / (max(g_max, 1.0) * lam)) \
+                * math.sqrt(float(d @ d) / d.size) > 2.0 * kkt_tol:
+            tested = best
+        elif kkt_at_best():
+            return best[0], best[1], "kkt"
         floor = min(recent)
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS):
