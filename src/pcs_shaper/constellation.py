@@ -53,7 +53,9 @@ class PamConstellation:
     def __post_init__(self):
         object.__setattr__(self, "order_m", check_power_of_two("order_m", self.order_m))
         check_positive("peak_a", self.peak_a)
-        amps = np.asarray(self.amplitudes, dtype=float)
+        # a read-only copy: the error-rate kernel caches pair gaps per constellation
+        amps = np.array(self.amplitudes, dtype=float)
+        amps.setflags(write=False)
         if amps.shape != (self.order_m,):
             raise ConfigError("amplitudes must have length order_m")
         if not np.all(np.diff(amps) > 0):

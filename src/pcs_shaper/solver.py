@@ -499,12 +499,12 @@ def linearized_ber_constraint(p_k, link: LinkBudget,
     """Tangent plane of the concave BER upper bound at the interior point p_k.
 
     Majorizes the bound everywhere, so enforcing ``tangent(p) <= threshold``
-    guarantees the true constraint.
+    guarantees the true constraint.  Each term p_m P_mn depends on p only
+    through p_m and ln(p_m/p_n), so the bound is homogeneous of degree 1 and,
+    by Euler's theorem, equals ``grad @ p_k``: the tangent passes through the
+    origin.
     """
-    probs = p_k.probs if isinstance(p_k, Distribution) else np.asarray(p_k, dtype=float)
-    grad = grad_ber_upper(c, probs, link)
-    value = ber_upper_bound(c, probs, link)
-    return AffineFunction(coef=grad, offset=value - float(grad @ probs))
+    return AffineFunction(coef=grad_ber_upper(c, p_k, link), offset=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.special import hyp2f1 as scipy_hyp2f1
 
 from pcs_shaper.channel import (
     LambertianLed,
@@ -135,11 +137,28 @@ def test_hyp2f1_matches_euler_integral_oracle():
         assert hyp2f1(0.5, b, 1.5, z) == pytest.approx(oracle, rel=1e-10)
 
 
+@given(st.floats(0.3, 6.0), st.floats(-40.0, 0.0))
+def test_hyp2f1_matches_scipy(b, z):
+    assert hyp2f1(0.5, b, 1.5, z) == pytest.approx(scipy_hyp2f1(0.5, b, 1.5, z),
+                                                   rel=1e-12)
+
+
+@pytest.mark.parametrize("l_order", [0.5, 1.0, 1.7, 3.0, 10.0])
+def test_hyp2f1_matches_scipy_on_eve_gain_arguments(l_order):
+    b = (l_order + 3.0) / 2.0
+    for deg in np.linspace(60.0, 89.9, 61):
+        z = -math.tan(math.radians(deg)) ** 2
+        assert hyp2f1(0.5, b, 1.5, z) == pytest.approx(scipy_hyp2f1(0.5, b, 1.5, z),
+                                                       rel=1e-12)
+
+
 def test_hyp2f1_rejects_bad_arguments():
     with pytest.raises(ConfigError):
         hyp2f1(0.5, 2.0, -1.0, -0.5)
     with pytest.raises(ConfigError):
         hyp2f1(0.5, 2.0, 1.5, 0.5)
+    with pytest.raises(ConfigError):
+        hyp2f1(1.0, 2.0, 1.5, -1.0)
 
 
 def test_average_eve_gain_unit_order_closed_form(receiver):

@@ -265,6 +265,16 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout)["scenario"] == "sweep_power"
 
 
+def test_import_loads_no_scipy():
+    # scipy serves only the quadrature oracle and the tests; a module-level
+    # import of it would cost most of the package's import time
+    code = ("import sys, pcs_shaper, pcs_shaper.cli; "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_seed_and_starts_overrides(tmp_path):
     cfg = mini_config(output="s.csv", power_dbm=[28.0])
     path = write_config(tmp_path, cfg)

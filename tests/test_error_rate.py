@@ -20,6 +20,7 @@ from pcs_shaper.error_rate import (
     pairwise_error_prob,
     ser_approx,
     ser_upper_bound,
+    _erfc,
 )
 from pcs_shaper.exceptions import ConfigError
 from pcs_shaper.montecarlo import SimConfig, pairwise_error_mc, simulate_error_rates
@@ -42,6 +43,32 @@ def test_pairwise_inactive_competitor_never_wins():
     geom = PairwiseGeometry(d=1.0, sigma=1.0)
     assert pairwise_error_prob(0.4, 0.0, geom) == 0.0
     assert pairwise_error_prob(0.0, 0.4, geom) == 1.0
+
+
+# erfc(u) rounded to double from a 50-digit evaluation
+ERFC_REFERENCE = [
+    (-5.5, 1.9999999999999927), (-1.0, 1.8427007929497148),
+    (0.3, 0.6713732405408726), (1.0, 0.15729920705028513),
+    (2.5, 0.0004069520174449589), (4.0, 1.541725790028002e-08),
+    (6.25, 9.672204131876253e-19), (10.0, 2.088487583762545e-45),
+    (17.0, 1.0212280150942608e-127), (26.0, 5.663192408856143e-296),
+]
+
+
+def test_erfc_matches_high_precision_values():
+    u, want = np.array(ERFC_REFERENCE).T
+    np.testing.assert_allclose(_erfc(u), want, rtol=2e-15, atol=0.0)
+    assert _erfc(np.array([np.inf, -np.inf])).tolist() == [0.0, 2.0]
+
+
+@given(st.lists(st.floats(-6.0, 27.0), min_size=1, max_size=64))
+def test_erfc_matches_scipy(us):
+    u = np.array(us)
+    # rtol: scipy's own erfc is off by up to 6e-14 relative beyond u = 10 (the
+    # 50-digit values above hold this one to 2e-15); atol: below the normal
+    # range (1e-300) a tail value has no relative precision, and scipy flushes
+    # it to zero
+    np.testing.assert_allclose(_erfc(u), erfc(u), rtol=1e-13, atol=1e-300)
 
 
 def test_pairwise_matches_event_simulation():

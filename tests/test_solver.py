@@ -11,7 +11,8 @@ from pcs_shaper.capacity import EntropyGrid
 from pcs_shaper.channel import LinkBudget
 from pcs_shaper.constellation import ConstraintSet, \
     build_constellation, signed_amplitude_mean, symmetry_residual
-from pcs_shaper.error_rate import ber_upper_bound
+from pcs_shaper.error_rate import ACTIVE_SUPPORT_FLOOR, ber_approx, ber_upper_bound, \
+    grad_ber_approx
 from pcs_shaper.exceptions import ConfigError, DegradedRegimeError, InfeasibleError
 from pcs_shaper.solver import (
     _FEAS_TOL,
@@ -456,6 +457,26 @@ def test_linearized_ber_constraint_properties(receiver, noise_params):
         dn[i] -= h
         num = (ber_upper_bound(c, up, bob) - ber_upper_bound(c, dn, bob)) / (2 * h)
         assert affine.coef[i] == pytest.approx(num, rel=1e-5, abs=1e-10)
+
+
+@settings(max_examples=100)
+@given(m=st.sampled_from([8, 16]), power_dbm=st.floats(18.0, 36.0),
+       raw=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                    min_size=16, max_size=16))
+def test_ber_tangent_passes_through_the_origin(receiver, noise_params, m,
+                                               power_dbm, raw):
+    """The bounds are homogeneous of degree 1 (Euler: f(q) = grad f(q) @ q) on
+    both pair sets, so the tangent at a clamped point needs no offset."""
+    led, bob, _, _, _ = links_at_dbm(power_dbm, receiver, noise_params)
+    c = build_constellation(m, led.peak_amplitude)
+    p = np.array(raw[:m])
+    assume(p.sum() > 0.0)
+    q = np.maximum(p / p.sum(), ACTIVE_SUPPORT_FLOOR)
+    tangent = linearized_ber_constraint(q, bob, c)
+    assert tangent.offset == 0.0
+    assert tangent(q) == pytest.approx(ber_upper_bound(c, q, bob), rel=1e-12, abs=1e-300)
+    assert float(q @ grad_ber_approx(c, q, bob)) == pytest.approx(
+        ber_approx(c, q, bob), rel=1e-12, abs=1e-300)
 
 
 def _problem(variant, power_dbm, receiver, noise_params, mode="flicker", m=8,
