@@ -9,7 +9,7 @@ alone, so the counts are a function of the seed and the symbol count.
 MAP detection is an interval lookup.  With equal noise variance, the metric
 ``ln p_m - (y - r_m)^2 / (2 sigma^2)`` is, up to a term common to all
 symbols, affine in ``y``, so each symbol wins one interval of ``y`` or none.
-The cuts between neighbouring winners are computed once per call (O(M)), and
+The cuts between neighbouring winners are computed once per chunk (O(M)), and
 a sample's interval is the number of cuts strictly below it; an exact tie
 goes to the lower index, as an argmax over the metrics would send it.
 
@@ -125,7 +125,7 @@ def _count_below(edges: np.ndarray, x: np.ndarray, strict: bool) -> np.ndarray:
     return counts.astype(np.intp)
 
 
-def map_detect(y, c: PamConstellation, p, link) -> np.ndarray | int:
+def map_detect(y, c: PamConstellation, p, link, intervals=None) -> np.ndarray | int:
     """MAP symbol decision(s): argmax_m ln p_m - (y - r_m)^2 / (2 sigma^2).
 
     Each symbol's decision region is one interval of ``y`` (or empty), and a
@@ -133,11 +133,15 @@ def map_detect(y, c: PamConstellation, p, link) -> np.ndarray | int:
     strictly increasing, so this equals ``searchsorted(cuts, y, "left")``: a
     sample exactly on a cut goes to the lower index, as an argmax over the
     metrics sends a tie.  Zero-probability symbols never win.  Accepts a
-    scalar (returns ``int``) or an array of receive samples.
+    scalar (returns ``int``) or an array of receive samples.  ``intervals``,
+    the ``(winners, cuts)`` of ``_decision_intervals`` for this ``p`` and
+    ``link``, saves rebuilding them on every call.
     """
-    probs = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
-    winners, cuts = _decision_intervals(link.composite_gain * c.amplitudes,
+    if intervals is None:
+        probs = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
+        intervals = _decision_intervals(link.composite_gain * c.amplitudes,
                                         probs, link.sigma)
+    winners, cuts = intervals
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     decisions = winners[_count_below(cuts, y_arr, strict=True)]
     return int(decisions[0]) if np.isscalar(y) else decisions
@@ -162,10 +166,11 @@ def _simulate_chunk(cfg: SimConfig, index: int, n: int) -> np.ndarray:
     means = cfg.link.composite_gain * cfg.constellation.amplitudes
     m = cfg.constellation.order_m
     confusion = np.zeros(m * m, dtype=np.intp)
+    intervals = _decision_intervals(means, probs, cfg.link.sigma)
     for lo in range(0, n, _BLOCK):
         sent = _draw_symbols(probs, u[lo:lo + _BLOCK])
         y = means[sent] + cfg.link.sigma * rng.standard_normal(sent.size)
-        detected = map_detect(y, cfg.constellation, probs, cfg.link)
+        detected = map_detect(y, cfg.constellation, probs, cfg.link, intervals)
         confusion += np.bincount(sent * m + detected, minlength=m * m)
     return confusion.reshape(m, m)
 

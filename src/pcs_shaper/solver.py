@@ -6,10 +6,18 @@ reliability constraint ``ber_upper(p) <= threshold``.  The reliability bound is
 a *concave* function of p, so its sublevel set is non-convex; the solver
 replaces it by its tangent plane at the current iterate (which majorizes the
 bound, hence any surrogate-feasible point is truly feasible) and re-linearizes
-until the objective stalls.  Where the objective itself is non-concave (the
-average-eavesdropper bound), the offending term is minorized by its tangent in
-an auxiliary variable.  Every accepted iterate is feasible and the objective
-trace is non-decreasing.
+until the objective changes by at most ``rel_tol`` relative.  Where the
+objective itself is non-concave (the average-eavesdropper bound), the
+offending term is minorized by its tangent in an auxiliary variable.  Every
+accepted iterate is feasible and the objective trace is non-decreasing.
+
+The loop also stops at the CCCP fixed point: when the surrogate does not
+depend on the linearization point (every variant but flicker-mode unknown
+CSI) and the tangent row is slack at the inner solve's point.  That point
+then maximizes the surrogate over the convex relaxation, up to the inner
+tolerance, and the next subproblem would return it again.  At powers where
+the reliability constraint is slack a start therefore takes one outer
+iteration.
 
 The inner concave maximizations use the nonmonotone spectral projected
 gradient: Barzilai-Borwein steps, backtracking along the projected direction
@@ -117,8 +125,12 @@ class SolveResult:
     """The best start's design, and one ``per_start`` dict per start.
 
     A feasible start's dict holds ``iterations``, ``converged``,
-    ``objective``, ``trace`` and ``inner_stops``: how many of its outer
-    iterations' inner solves ended for each reason of ``_pg_ascent``.
+    ``objective``, ``trace``, ``inner_stops`` (how many of its outer
+    iterations' inner solves ended for each reason of ``_pg_ascent``) and
+    ``outer_stop``, why its outer loop ended: ``"fixed_point"`` (the tangent
+    row is slack and the surrogate does not move with the linearization
+    point), ``"rel_tol"`` (the objective changed by at most ``rel_tol``
+    relative) or ``"max_iters"``.  ``converged`` is False only for the last.
     """
 
     p_opt: Distribution
@@ -618,8 +630,9 @@ def _restore_feasibility(obj: _Objective, project: _Projector,
     return p if ber <= thr else None
 
 
-def _run_single_start(obj: _Objective, start: np.ndarray, start_index: int,
-                      settings: CccpSettings):
+def _run_single_start(obj: _Objective, start: np.ndarray, settings: CccpSettings):
+    """One start's CCCP loop: its last design and its ``per_start`` fields, or
+    None when the start cannot reach the reliability constraint."""
     problem = obj.problem
     thr = problem.constraints.pre_fec_threshold
     symmetric = problem.constraints.mode == "symmetric"
@@ -630,26 +643,31 @@ def _run_single_start(obj: _Objective, start: np.ndarray, start_index: int,
     p = _restore_feasibility(obj, project, p)
     if p is None:
         return None
+    # only the flicker-mode unknown-CSI surrogate moves with its linearization
+    # point (s_k is exactly 0 in symmetric mode)
+    fixed_surrogate = problem.variant != "unknown_csi" or symmetric
     trace = [obj.true_value(p)]
     inner_stops = Counter()
-    converged = False
-    iterations = settings.max_iters
+    stop = "max_iters"
     for k in range(1, settings.max_iters + 1):
         tangent = linearized_ber_constraint(obj.clamp(p), problem.bob_link, obj.c)
         margin = 1e-13 * (1.0 + thr)
         project.set_row(len(slab), tangent.coef, -math.inf,
                         thr - margin - tangent.offset)
         fg = obj.surrogate(p)
-        p_new, _, reason = _pg_ascent(fg, project, p, _INNER_MAX_ITER, _INNER_KKT_TOL)
+        p, f, reason = _pg_ascent(fg, project, p, _INNER_MAX_ITER, _INNER_KKT_TOL)
         inner_stops[reason] += 1
-        trace.append(obj.true_value(p_new))
-        p = p_new
-        denom = max(abs(trace[-2]), 1e-12)
-        if abs(trace[-1] - trace[-2]) / denom <= settings.rel_tol:
-            converged = True
-            iterations = k
+        # the known-CSI surrogate is the objective itself
+        trace.append(f if problem.variant == "known_csi" else obj.true_value(p))
+        row = project.rows[-1]
+        if fixed_surrogate and row.g @ p < row.hi - row.tol:
+            stop = "fixed_point"
             break
-    return p, trace, iterations, converged, start_index, dict(inner_stops)
+        if abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12) <= settings.rel_tol:
+            stop = "rel_tol"
+            break
+    return p, {"iterations": k, "converged": stop != "max_iters", "outer_stop": stop,
+               "objective": trace[-1], "trace": trace, "inner_stops": dict(inner_stops)}
 
 
 def feasibility_report(problem: DesignProblem, p: np.ndarray) -> dict[str, float]:
@@ -688,28 +706,25 @@ def solve(problem: DesignProblem, settings: CccpSettings | None = None) -> Solve
     best = None
     per_start = []
     for idx, start in enumerate(_start_points(problem.constellation.order_m, settings)):
-        outcome = _run_single_start(obj, start, idx, settings)
+        outcome = _run_single_start(obj, start, settings)
         if outcome is None:
             per_start.append({"start_index": idx, "feasible": False})
             continue
-        p, trace, iterations, converged, start_index, inner_stops = outcome
-        per_start.append({"start_index": idx, "feasible": True,
-                          "iterations": iterations, "converged": converged,
-                          "objective": trace[-1], "trace": trace,
-                          "inner_stops": inner_stops})
-        if best is None or trace[-1] > best[1][-1]:
-            best = (p, trace, iterations, converged, start_index)
+        p, record = outcome
+        per_start.append({"start_index": idx, "feasible": True, **record})
+        if best is None or record["objective"] > best[1]["objective"]:
+            best = (p, record, idx)
     if best is None:
         raise InfeasibleError(
             "no starting point reaches the reliability constraint; "
             "the design is infeasible at this operating point")
-    p, trace, iterations, converged, start_index = best
+    p, record, start_index = best
     return SolveResult(
         p_opt=Distribution(p),
-        objective=trace[-1],
-        objective_trace=trace,
-        iterations=iterations,
-        converged=converged,
+        objective=record["objective"],
+        objective_trace=record["trace"],
+        iterations=record["iterations"],
+        converged=record["converged"],
         feasibility=feasibility_report(problem, p),
         start_index=start_index,
         per_start=per_start,

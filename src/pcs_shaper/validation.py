@@ -1,6 +1,8 @@
 """Small input-validation helpers used by the data types and the estimator."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exceptions import ConfigError
@@ -9,12 +11,12 @@ PROB_SUM_TOL = 1e-12
 
 
 def check_positive(name: str, value: float, allow_zero: bool = False) -> float:
+    """``value`` as a float; ConfigError unless it is finite and > 0 (>= 0
+    with ``allow_zero``)."""
     value = float(value)
-    if allow_zero:
-        if value < 0:
-            raise ConfigError(f"{name} must be >= 0, got {value}")
-    elif not value > 0:
-        raise ConfigError(f"{name} must be > 0, got {value}")
+    if not (math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
+        raise ConfigError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, "
+                          f"got {value}")
     return value
 
 

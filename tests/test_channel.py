@@ -9,6 +9,7 @@ from scipy.special import hyp2f1 as scipy_hyp2f1
 
 from pcs_shaper.channel import (
     LambertianLed,
+    LinkBudget,
     LinkGeometry,
     NoiseParams,
     ReceiverPd,
@@ -18,6 +19,7 @@ from pcs_shaper.channel import (
     hyp2f1,
     link_budget_from_geometry,
 )
+from pcs_shaper.constellation import ConstraintSet
 from pcs_shaper.exceptions import ConfigError
 
 from conftest import led_at_dbm, links_at_dbm
@@ -212,3 +214,25 @@ def test_type_validation():
         LinkGeometry(distance=0.0)
     with pytest.raises(ConfigError):
         ReceiverPd(area=1e-4, responsivity_gamma=0.54, fov=math.pi)
+
+
+# every field that check_positive takes with allow_zero=True
+_ZERO_ALLOWED = {
+    "composite_gain": lambda v: LinkBudget(composite_gain=v, sigma=1.0),
+    "flicker_alpha": lambda v: ConstraintSet(flicker_alpha=v),
+    "ambient_photocurrent": lambda v: NoiseParams(
+        bandwidth=20e6, ambient_photocurrent=v, preamp_density=5e-12),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(_ZERO_ALLOWED))
+def test_zero_allowed_fields_reject_non_finite_values(field, value):
+    _ZERO_ALLOWED[field](0.0)
+    with pytest.raises(ConfigError):
+        _ZERO_ALLOWED[field](value)
+
+
+def test_positive_fields_reject_infinity():
+    with pytest.raises(ConfigError):
+        LinkBudget(composite_gain=1.0, sigma=math.inf)

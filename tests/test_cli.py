@@ -170,6 +170,15 @@ def test_section_value_of_the_wrong_type_is_a_config_error(tmp_path, scenario, s
     assert run(str(path), out_dir=str(tmp_path)) == EXIT_CONFIG
 
 
+def test_nan_constraint_is_a_config_error(tmp_path):
+    # json writes and reads the non-standard literal NaN
+    cfg = mini_config(scenario="design_known", power_dbm=[28.0])
+    cfg["constraints"] = {**cfg["constraints"], "flicker_alpha": float("nan")}
+    path = write_config(tmp_path, cfg)
+    assert "NaN" in path.read_text()
+    assert run(str(path), out_dir=str(tmp_path)) == EXIT_CONFIG
+
+
 def test_eve_takes_a_position_or_a_quality_ratio_not_both(tmp_path):
     cfg = mini_config()
     cfg["eve"] = {"quality_ratio": 10.0, "radial_offset": 1.0}

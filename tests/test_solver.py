@@ -22,6 +22,8 @@ from pcs_shaper.solver import (
     _Projector,
     _kkt_residual,
     _pg_ascent,
+    _run_single_start,
+    _start_points,
     feasibility_report,
     inner_solve,
     linearized_ber_constraint,
@@ -554,6 +556,73 @@ def test_qos_inner_solves_stay_within_an_evaluation_budget(receiver, noise_param
         if rec["feasible"]:
             assert set(rec["inner_stops"]) <= {"kkt", "stalled", "no_ascent", "iter_cap"}
             assert sum(rec["inner_stops"].values()) == rec["iterations"]
+
+
+def _next_subproblem_rise(obj, p):
+    """How much one more inner solve, on the subproblem linearized at the
+    design ``p`` (the next outer iteration's), raises the surrogate from p."""
+    prob = obj.problem
+    bound = prob.constraints.flicker_alpha * prob.dc_bias
+    tangent = linearized_ber_constraint(obj.clamp(p), prob.bob_link, prob.constellation)
+    project = _Projector([(prob.constellation.amplitudes, -bound, bound),
+                          (tangent.coef, -math.inf, prob.constraints.pre_fec_threshold)])
+    fg = obj.surrogate(p)
+    f0, _ = fg(p)
+    _, f, _ = _pg_ascent(fg, project, p, 3000, 1e-8)
+    return (f - f0) / abs(f0)
+
+
+@pytest.mark.parametrize("variant", ["known_csi", "qos_max_eve_ber"])
+def test_slack_point_stops_at_the_cccp_fixed_point(receiver, noise_params, variant):
+    # at 32 dBm the BER tangent row is slack at the first inner solve's point,
+    # so that point maximizes the surrogate and a second solve returns it again
+    prob, *_ = _problem(variant, 32.0, receiver, noise_params)
+    settings = CccpSettings(n_starts=4, seed=2024)
+    res = solve(prob, settings)
+    obj = _Objective(prob)
+    for rec, start in zip(res.per_start, _start_points(8, settings), strict=True):
+        assert rec["feasible"]
+        assert rec["outer_stop"] == "fixed_point" and rec["iterations"] == 1
+        assert rec["converged"] and len(rec["trace"]) == 2
+        p, again = _run_single_start(obj, start, settings)
+        assert again["objective"] == rec["objective"]
+        assert _next_subproblem_rise(obj, p) < 1e-8
+
+
+def test_flicker_unknown_csi_never_stops_at_the_fixed_point(receiver, noise_params):
+    # its surrogate's minorant moves with the linearization point
+    for power in (25.0, 32.0):
+        prob, *_ = _problem("unknown_csi", power, receiver, noise_params)
+        res = solve(prob, CccpSettings(n_starts=4, seed=2024))
+        stops = {rec["outer_stop"] for rec in res.per_start if rec["feasible"]}
+        assert stops and "fixed_point" not in stops, (power, stops)
+
+
+def test_known_csi_trace_is_the_true_objective_of_each_design(receiver, noise_params,
+                                                             monkeypatch):
+    # the trace takes the inner solve's value, which for known CSI is the
+    # objective itself; it must equal a fresh evaluation bit for bit
+    prob, *_ = _problem("known_csi", 25.0, receiver, noise_params)
+    surrogates, designs = [], []
+    surrogate = _Objective.surrogate
+
+    def tagged(self, p_k):
+        surrogates.append(surrogate(self, p_k))
+        return surrogates[-1]
+
+    def recorded(value_and_grad, *args):
+        out = _pg_ascent(value_and_grad, *args)
+        if any(value_and_grad is fg for fg in surrogates):   # not a restoration
+            designs.append(out[0])
+        return out
+
+    monkeypatch.setattr(_Objective, "surrogate", tagged)
+    monkeypatch.setattr("pcs_shaper.solver._pg_ascent", recorded)
+    res = solve(prob, CccpSettings(n_starts=4, seed=2))
+    trace = [v for rec in res.per_start if rec["feasible"] for v in rec["trace"][1:]]
+    assert len(trace) == len(designs) > 4
+    obj = _Objective(prob)
+    assert trace == [obj.true_value(p) for p in designs]
 
 
 def test_multi_start_determinism(receiver, noise_params):
