@@ -30,7 +30,7 @@ import numpy as np
 
 from .constellation import Distribution, PamConstellation, signed_amplitude_mean
 from .exceptions import ConfigError, DegradedRegimeError, NonConvergenceError
-from .montecarlo import _count_below
+from .montecarlo import _symbol_blocks
 from .validation import check_probability_vector
 
 __all__ = [
@@ -184,34 +184,30 @@ def entropy_mc(mm: MixtureModel, n_samples: int, seed: int = 0,
     """Sampling estimate of the mixture entropy: mean of -log2 f(y), y ~ f.
 
     Returns (estimate, standard error).  Serves as the independent oracle for
-    the quadrature path.  Samples are drawn ``chunk`` at a time: the
-    component of a sample is the number of entries of the normalized CDF
-    ``<= u`` for a uniform u, as ``rng.choice(M, n, p=w)`` draws it but
-    without its binary search, and then its noise.  Within a chunk the
-    components and ``-log2 f`` are evaluated in blocks of ``_ENTROPY_BLOCK``
-    samples, so the components-major ``M x _ENTROPY_BLOCK`` temporaries of
-    :func:`_log2_pdf` stay cache-sized.  Each sample's value does not depend
-    on the blocking, and both sums run over the whole chunk.  Flooring the shifted exponents at
-    ``_EXP_FLOOR`` changes terms under 1e-304 in a sum of at least 1, far
-    below its last bit.
+    the quadrature path.  Samples are drawn ``chunk`` at a time, each chunk
+    symbol-major as the Monte-Carlo oracles draw it: one multinomial draw of
+    how many samples each component of nonzero weight gets, then each
+    component's ``N(mu_k, 1)`` samples in component order.  Within a chunk
+    ``-log2 f`` is evaluated in blocks of at most ``_ENTROPY_BLOCK`` samples
+    of one component, so the components-major ``M x _ENTROPY_BLOCK``
+    temporaries of :func:`_log2_pdf` stay cache-sized.  Each sample's value
+    does not depend on the blocking, and both sums run over the whole chunk.
+    Flooring the shifted exponents at ``_EXP_FLOOR`` changes terms under
+    1e-304 in a sum of at least 1, far below its last bit.
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     mu, w = _standardized(mm)
-    cdf = w.cumsum()
-    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     total = total_sq = 0.0
     done = 0
     while done < n_samples:
         n = min(chunk, n_samples - done)
-        v = rng.random(n)
-        z = rng.standard_normal(n)
         h = np.empty(n)
-        for lo in range(0, n, _ENTROPY_BLOCK):
-            block = slice(lo, lo + _ENTROPY_BLOCK)
-            u = mu[_count_below(cdf, v[block], strict=False)] + z[block]
-            h[block] = -_log2_pdf(u, mu, w)
+        lo = 0
+        for k, size in _symbol_blocks(rng, w, n, _ENTROPY_BLOCK):
+            h[lo:lo + size] = -_log2_pdf(mu[k] + rng.standard_normal(size), mu, w)
+            lo += size
         total += h.sum()
         total_sq += (h * h).sum()
         done += n

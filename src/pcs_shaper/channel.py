@@ -229,14 +229,21 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
 
     which a fixed 96-node Gauss-Legendre rule evaluates.  On the package's
     arguments, ``b = (l + 3)/2`` and ``z = -tan^2(FoV)``, it is accurate to
-    about 1e-14 relative up to a FoV of 89.9 degrees and 1e-10 closer to 90;
-    for ``b < 1`` the integrand grows towards pi/2, which costs digits once
-    ``-z`` is far beyond 40.  Any other ``(a, c)`` is rejected.
+    about 1e-14 relative up to a FoV of 89.9 degrees and 1e-10 closer to 90.
+
+    The domain is ``z <= 0`` for ``b >= 1`` and ``-40 <= z <= 0`` for
+    ``b < 1``, where it agrees with the series to about 1e-12 relative.  For
+    ``b < 1`` the integrand grows without bound towards pi/2, and beyond
+    ``z = -40`` the fixed rule loses digits (2e-7 relative at ``b = 0.3``,
+    ``z = -1e5``), so such arguments raise ConfigError, as does any other
+    ``(a, c)``.
     """
     if (a, c) != (0.5, 1.5):
         raise ConfigError(f"only 2F1(1/2, b; 3/2; z) is supported, got a={a}, c={c}")
     if z > 0:
         raise ConfigError(f"only the z <= 0 branch is supported, got z={z}")
+    if b < 1.0 and z < -40.0:
+        raise ConfigError(f"for b < 1 only z >= -40 is supported, got b={b}, z={z}")
     if z == 0:
         return 1.0
     x = math.sqrt(-z)

@@ -1,10 +1,16 @@
 """Ground-truth Monte-Carlo simulation: MAP detection, empirical SER/BER, and
 eavesdropper position sampling.
 
-Symbol streams are drawn by inverse-CDF lookup (exact for a discrete
-distribution); noise comes from per-chunk Philox generators keyed by
+Each chunk of symbols comes from its own Philox generator keyed by
 ``(seed, chunk_index)``, and the chunk partition depends on the symbol count
-alone, so the counts are a function of the seed and the symbol count.
+alone, so the counts are a function of the seed and the symbol count.  A
+chunk is drawn symbol-major: first how many times each symbol is sent, one
+multinomial draw over the support (the symbols of nonzero probability, so a
+zero-probability symbol is never sent), then, symbol by symbol in support
+order, that symbol's noise.  The counts of i.i.d. categorical draws are
+multinomial and the noise does not depend on the symbol, so the confusion
+counts have the law of an i.i.d. symbol stream; no per-symbol uniform, symbol
+lookup or gather is needed.
 
 MAP detection is an interval lookup.  With equal noise variance, the metric
 ``ln p_m - (y - r_m)^2 / (2 sigma^2)`` is, up to a term common to all
@@ -13,17 +19,19 @@ The cuts between neighbouring winners are computed once per chunk (O(M)), and
 a sample's interval is the number of cuts strictly below it; an exact tie
 goes to the lower index, as an argmax over the metrics would send it.
 
-Both lookups count instead of searching: with at most M - 1 edges, one
-comparison per edge and sample, summed in bytes, costs less than a binary
-search whose branches the processor cannot predict.  A chunk is simulated in
-blocks of ``_BLOCK`` symbols so that these comparisons stay in cache: all
-uniforms of the chunk are drawn first, then each block draws its normals.
-Successive draws continue one Philox stream, so the symbols, the noise and
-the counts are exactly those of drawing the whole chunk at once.
+Both lookups, the MAP interval and the inverse-CDF symbol of
+:func:`_draw_symbols` (which ``PcsShaper.sample`` uses), count instead of
+searching: with at most M - 1 edges, one comparison per edge and sample,
+summed in bytes, costs less than a binary search whose branches the
+processor cannot predict.  Noise is drawn and
+detected in blocks of at most ``_BLOCK`` samples of one symbol, so that these
+comparisons stay in cache.  Successive draws continue one Philox stream, so
+the noise and the counts do not depend on the blocking.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,20 +167,35 @@ def _draw_symbols(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _count_below(cdf, u, strict=False)
 
 
+def _symbol_blocks(rng: np.random.Generator, probs: np.ndarray, n: int,
+                   block: int = _BLOCK) -> Iterator[tuple[int, int]]:
+    """Draw ``n`` symbols from ``probs`` symbol-major, as ``(symbol, size)`` blocks.
+
+    One multinomial draw gives each symbol of the support ``flatnonzero(probs)``
+    its count; the counts are then yielded in support order, in blocks of at
+    most ``block``.  Each caller draws a block's noise from ``rng`` before
+    asking for the next block, so the stream is the multinomial draw followed
+    by the noise of every symbol in support order.
+    """
+    support = np.flatnonzero(probs)
+    counts = rng.multinomial(n, probs[support] / probs[support].sum())
+    for symbol, count in zip(support.tolist(), counts.tolist()):
+        for lo in range(0, count, block):
+            yield symbol, min(block, count - lo)
+
+
 def _simulate_chunk(cfg: SimConfig, index: int, n: int) -> np.ndarray:
     rng = _chunk_rng(cfg.seed, index)
     probs = cfg.distribution.probs
-    u = rng.random(n)
     means = cfg.link.composite_gain * cfg.constellation.amplitudes
     m = cfg.constellation.order_m
-    confusion = np.zeros(m * m, dtype=np.intp)
+    confusion = np.zeros((m, m), dtype=np.intp)
     intervals = _decision_intervals(means, probs, cfg.link.sigma)
-    for lo in range(0, n, _BLOCK):
-        sent = _draw_symbols(probs, u[lo:lo + _BLOCK])
-        y = means[sent] + cfg.link.sigma * rng.standard_normal(sent.size)
+    for sent, size in _symbol_blocks(rng, probs, n):
+        y = means[sent] + cfg.link.sigma * rng.standard_normal(size)
         detected = map_detect(y, cfg.constellation, probs, cfg.link, intervals)
-        confusion += np.bincount(sent * m + detected, minlength=m * m)
-    return confusion.reshape(m, m)
+        confusion[sent] += np.bincount(detected, minlength=m)
+    return confusion
 
 
 def _stderr(mean: float, mean_sq: float, n: int) -> float:
@@ -243,6 +266,8 @@ def pairwise_error_mc(p_m: float, p_n: float, geom: PairwiseGeometry,
     ``d n <= sigma^2 ln(p_n / p_m) - d^2 / 2``, one comparison of ``z`` per
     sample.  As in the closed form, a competitor with ``p_n = 0`` never wins
     and, otherwise, a symbol with ``p_m = 0`` always loses; neither draws noise.
+    Each chunk's noise is drawn in blocks of ``_BLOCK`` from the chunk's one
+    Philox stream, so the hits are those of drawing the chunk at once.
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
@@ -255,7 +280,10 @@ def pairwise_error_mc(p_m: float, p_n: float, geom: PairwiseGeometry,
     t = sig * (math.log(p_n) - math.log(p_m)) / d - d / (2.0 * sig)
     hits = 0
     for idx, lo in enumerate(range(0, n_samples, _CHUNK)):
-        z = _chunk_rng(seed, idx).standard_normal(min(_CHUNK, n_samples - lo))
-        hits += int(np.count_nonzero(z <= t if d > 0 else z >= t))
+        rng = _chunk_rng(seed, idx)
+        n = min(_CHUNK, n_samples - lo)
+        for b in range(0, n, _BLOCK):
+            z = rng.standard_normal(min(_BLOCK, n - b))
+            hits += int(np.count_nonzero(z <= t if d > 0 else z >= t))
     est = hits / n_samples
     return est, math.sqrt(est * (1.0 - est) / n_samples)

@@ -168,7 +168,8 @@ def test_entropy_mc_blocking_is_bit_identical_to_unblocked_evaluation():
     total = total_sq = 0.0
     for lo in range(0, n_samples, chunk):
         n = min(chunk, n_samples - lo)
-        u = mu[rng.choice(mu.size, size=n, p=w)] + rng.standard_normal(n)
+        counts = rng.multinomial(n, w / w.sum())
+        u = np.repeat(mu, counts) + rng.standard_normal(n)
         h = -_log2_pdf(u, mu, w)
         total += h.sum()
         total_sq += (h * h).sum()

@@ -145,6 +145,18 @@ def test_hyp2f1_matches_scipy(b, z):
                                                    rel=1e-12)
 
 
+def test_hyp2f1_rejects_arguments_where_the_rule_loses_digits():
+    # for b < 1 the integrand grows without bound towards pi/2; at z = -1e5
+    # the fixed rule is off by 2e-7 relative (b = 0.3) instead of raising
+    for b, z in [(0.3, -1e5), (0.5, -1e5), (0.999, -40.5)]:
+        with pytest.raises(ConfigError):
+            hyp2f1(0.5, b, 1.5, z)
+    assert hyp2f1(0.5, 0.3, 1.5, -40.0) == pytest.approx(
+        scipy_hyp2f1(0.5, 0.3, 1.5, -40.0), rel=1e-12)
+    assert hyp2f1(0.5, 1.0, 1.5, -1e5) == pytest.approx(
+        scipy_hyp2f1(0.5, 1.0, 1.5, -1e5), rel=1e-12)
+
+
 @pytest.mark.parametrize("l_order", [0.5, 1.0, 1.7, 3.0, 10.0])
 def test_hyp2f1_matches_scipy_on_eve_gain_arguments(l_order):
     b = (l_order + 3.0) / 2.0

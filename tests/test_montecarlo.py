@@ -131,8 +131,34 @@ def test_draw_never_sends_a_zero_probability_symbol():
     assert _draw_symbols(probs, u).tolist() == [0, 5, 9]
 
 
+def _symbol_major_draw(cfg, rng, n):
+    """Sent symbols and receive samples of one chunk, whole: the multinomial
+    counts over the support, then every symbol's noise in support order."""
+    probs = cfg.distribution.probs
+    means = cfg.link.composite_gain * cfg.constellation.amplitudes
+    support = np.flatnonzero(probs)
+    counts = rng.multinomial(n, probs[support] / probs[support].sum())
+    sent = np.repeat(support, counts)
+    return sent, means[sent] + cfg.link.sigma * rng.standard_normal(n)
+
+
 def _reference_confusion(cfg):
     """Confusion counts from the argmax detector and np.add.at, chunk by chunk."""
+    m = cfg.constellation.order_m
+    probs = cfg.distribution.probs
+    means = cfg.link.composite_gain * cfg.constellation.amplitudes
+    confusion = np.zeros((m, m), dtype=np.int64)
+    for index, lo in enumerate(range(0, cfg.n_symbols, _CHUNK)):
+        n = min(_CHUNK, cfg.n_symbols - lo)
+        sent, y = _symbol_major_draw(cfg, _chunk_rng(cfg.seed, index), n)
+        detected = np.argmax(_argmax_metrics(y, means, probs, cfg.link.sigma), axis=1)
+        np.add.at(confusion, (sent, detected), 1)
+    return confusion
+
+
+def _iid_confusion(cfg):
+    """Confusion counts of an i.i.d. symbol stream: a uniform per symbol, an
+    inverse-CDF lookup, then a normal per symbol, and the argmax detector."""
     m = cfg.constellation.order_m
     probs = cfg.distribution.probs
     means = cfg.link.composite_gain * cfg.constellation.amplitudes
@@ -161,15 +187,11 @@ def test_confusion_counts_match_argmax_reference_bit_for_bit():
 
 
 def _unblocked_chunk(cfg, index, n):
-    """One chunk as one ``searchsorted`` draw and one ``searchsorted`` detection."""
+    """One chunk as one whole symbol-major draw and one ``searchsorted`` detection."""
     m = cfg.constellation.order_m
     probs = cfg.distribution.probs
     means = cfg.link.composite_gain * cfg.constellation.amplitudes
-    rng = _chunk_rng(cfg.seed, index)
-    cdf = np.cumsum(probs)
-    cdf[np.flatnonzero(probs)[-1]:] = 1.0
-    sent = np.searchsorted(cdf, rng.random(n), side="right")
-    y = means[sent] + cfg.link.sigma * rng.standard_normal(n)
+    sent, y = _symbol_major_draw(cfg, _chunk_rng(cfg.seed, index), n)
     winners, cuts = _decision_intervals(means, probs, cfg.link.sigma)
     detected = winners[np.searchsorted(cuts, y, side="left")]
     return np.bincount(sent * m + detected, minlength=m * m).reshape(m, m)
@@ -200,6 +222,36 @@ def test_blocked_simulation_is_bit_identical_to_unblocked_chunks(m):
             got = simulate_error_rates(cfg).confusion_counts
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (m, k, n)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_zero_probability_symbols_are_never_sent_nor_detected(m):
+    c = build_constellation(m, 1.0)
+    link = LinkBudget(composite_gain=1.0, sigma=0.7 / m)
+    for k, probs in enumerate(_block_test_distributions(m)):
+        zero = probs == 0.0
+        for n in (_BLOCK - 1, _BLOCK + 1, _CHUNK + 7):
+            confusion = simulate_error_rates(SimConfig(
+                n_symbols=n, seed=53 + k, link=link, constellation=c,
+                distribution=Distribution(probs))).confusion_counts
+            assert not confusion[zero].any(), (m, k, n)
+            assert not confusion[:, zero].any(), (m, k, n)
+            assert confusion.sum() == n
+
+
+def test_symbol_major_draw_has_the_law_of_iid_draws():
+    c = build_constellation(8, 1.0)
+    link = LinkBudget(composite_gain=1.0, sigma=0.15)
+    p = Distribution(np.array([0.05, 0.2, 0.0, 0.25, 0.1, 0.0, 0.3, 0.1]))
+    n = 1_000_000
+    cfg = SimConfig(n_symbols=n, seed=61, link=link, constellation=c, distribution=p)
+    got = simulate_error_rates(cfg).confusion_counts
+    iid = _iid_confusion(SimConfig(n_symbols=n, seed=62, link=link, constellation=c,
+                                   distribution=p))
+    assert np.trace(got) < n - 10_000             # the off-diagonal cells are exercised
+    pooled = (got + iid) / (2.0 * n)
+    combined_se = np.sqrt(2.0 * n * pooled * (1.0 - pooled))
+    assert np.all(np.abs(got - iid) <= 4.0 * combined_se)
 
 
 def test_simulation_noiseless_limit():
