@@ -133,6 +133,9 @@ class ExperimentConfig:
         if all(k in self.eve for k in _EVE_KEYS):
             raise ConfigError(f"eve takes one of {_EVE_KEYS}, not both")
         CccpSettings(**self.solver)     # rejects out-of-range solver values
+        if self.montecarlo["seed"] < 0 or self.montecarlo["n_symbols"] < 1:
+            raise ConfigError("montecarlo needs seed >= 0 and n_symbols >= 1, "
+                              f"got {self.montecarlo}")
 
         variant = _SCENARIO_VARIANT.get(self.scenario, self.variant)
         if variant == "unknown_csi" and self.constraints["mode"] == "symmetric":
@@ -265,29 +268,35 @@ def _secrecy_metric(point: OperatingPoint, p) -> float:
     return secrecy_capacity(p, prob.bob_link, prob.eve_link, prob.constellation)
 
 
-def _bob_mc_ber(cfg: ExperimentConfig, point: OperatingPoint, p: Distribution) -> float:
+def _bob_mc_ber(cfg: ExperimentConfig, point: OperatingPoint, p: Distribution,
+                row: int) -> float:
+    """Simulated BER of CSV row ``row``, on a stream keyed by the config's
+    seed and the row, so that no two rows share their Monte-Carlo errors."""
+    mc = cfg.montecarlo
+    seed = np.random.SeedSequence(mc["seed"], spawn_key=(row,)).generate_state(1, np.uint64)
     return simulate_error_rates(SimConfig(
-        link=point.problem.bob_link, constellation=point.problem.constellation,
-        distribution=p, **cfg.montecarlo)).ber
+        n_symbols=mc["n_symbols"], seed=int(seed[0]), link=point.problem.bob_link,
+        constellation=point.problem.constellation, distribution=p)).ber
 
 
 def _sweep_row(cfg: ExperimentConfig, point: OperatingPoint, scheme: str,
-               p: Distribution) -> list:
-    """One CSV row; the BER bound and feasibility come from one report."""
+               p: Distribution, row: int) -> list:
+    """CSV row ``row``; the BER bound and feasibility come from one report."""
     report = feasibility_report(point.problem, p.probs)
     if "symmetry_residual_max" in report:
         feasible = report["symmetry_residual_max"] < 1e-9
     else:
         feasible = report["flicker_excess"] <= 1e-12
     return [point.power_dbm, scheme, _secrecy_metric(point, p), report["ber_upper"],
-            _bob_mc_ber(cfg, point, p), report["ber_upper_excess"] <= 1e-8 and feasible]
+            _bob_mc_ber(cfg, point, p, row), report["ber_upper_excess"] <= 1e-8 and feasible]
 
 
 def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     uniform = Distribution.uniform(cfg.modulation_order)
-    rows = [row for point, result in _solved(cfg)
-            for row in (_sweep_row(cfg, point, "uniform", uniform),
-                        _sweep_row(cfg, point, "pcs", result.p_opt))]
+    rows = []
+    for point, result in _solved(cfg):
+        for scheme, p in (("uniform", uniform), ("pcs", result.p_opt)):
+            rows.append(_sweep_row(cfg, point, scheme, p, len(rows)))
     _write_csv(out_dir / cfg.output, cfg,
                ["power_dbm", "scheme", "secrecy_bits", "ber_analytic",
                 "ber_montecarlo", "feasible"], rows)

@@ -24,6 +24,7 @@ from pcs_shaper.capacity import (
 from pcs_shaper.channel import LinkBudget
 from pcs_shaper.constellation import build_constellation
 from pcs_shaper.exceptions import ConfigError, DegradedRegimeError, NonConvergenceError
+from pcs_shaper.montecarlo import _chunk_rng
 
 from conftest import dirichlet_interior, links_at_dbm
 
@@ -164,9 +165,9 @@ def test_entropy_mc_blocking_is_bit_identical_to_unblocked_evaluation():
     chunk = 3 * _ENTROPY_BLOCK + 11                 # several blocks, the last partial
     n_samples = 2 * chunk + 5                       # three chunks, the last partial
     mu, w = _standardized(mm)
-    rng = np.random.default_rng(19)
     total = total_sq = 0.0
-    for lo in range(0, n_samples, chunk):
+    for chunk_index, lo in enumerate(range(0, n_samples, chunk)):
+        rng = _chunk_rng(19, chunk_index)
         n = min(chunk, n_samples - lo)
         counts = rng.multinomial(n, w / w.sum())
         u = np.repeat(mu, counts) + rng.standard_normal(n)
@@ -177,6 +178,28 @@ def test_entropy_mc_blocking_is_bit_identical_to_unblocked_evaluation():
     want = (mean + math.log2(mm.sigma),
             math.sqrt(max(total_sq / n_samples - mean**2, 0.0) / n_samples))
     assert entropy_mc(mm, n_samples, seed=19, chunk=chunk) == want
+
+
+def test_entropy_mc_pruning_is_bit_identical_to_all_components(monkeypatch):
+    # clusters 40 sigma apart; a 1e-12 weight and a zero weight one sigma
+    # from a heavy component
+    mm = MixtureModel(means=0.3 * np.array([0.0, 1.0, 40.0, 80.0, 81.0, 120.0]), sigma=0.3,
+                      weights=np.array([0.3, 1e-12, 0.25, 0.0, 0.2, 0.25 - 1e-12]))
+    chunk = 3 * _ENTROPY_BLOCK + 11
+    n_samples = 2 * chunk + 5
+    passed = []
+
+    def recording(u, mu, w):
+        passed.append(mu.size)
+        return _log2_pdf(u, mu, w)
+
+    monkeypatch.setattr(capacity, "_log2_pdf", recording)
+    pruned = entropy_mc(mm, n_samples, seed=29, chunk=chunk)
+    assert min(passed) < 5                          # far components were dropped
+    passed.clear()
+    monkeypatch.setattr(capacity, "_PRUNE_EXP", -math.inf)
+    assert entropy_mc(mm, n_samples, seed=29, chunk=chunk) == pruned
+    assert set(passed) == {5}                       # every nonzero weight
 
 
 def test_grid_agrees_with_adaptive_quadrature():

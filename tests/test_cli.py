@@ -80,6 +80,31 @@ def test_sweep_runs_and_is_deterministic(tmp_path):
     assert all(row.split(",")[5] == "true" for row in rows if ",pcs," in row)
 
 
+def test_sweep_rows_draw_their_own_monte_carlo_streams(tmp_path):
+    cfg = mini_config(output="sweep.csv", power_dbm=[20.0, 20.0])
+    path = write_config(tmp_path, cfg)
+    assert run(str(path), out_dir=str(tmp_path / "a")) == EXIT_OK
+    assert run(str(path), out_dir=str(tmp_path / "b")) == EXIT_OK
+    text = (tmp_path / "a" / "sweep.csv").read_text()
+    assert (tmp_path / "b" / "sweep.csv").read_text() == text
+    first, second = [row.split(",") for row in text.splitlines()[2:] if ",uniform," in row]
+    assert first[:4] == second[:4]
+    assert first[4] != second[4]                    # ber_montecarlo
+
+
+@pytest.mark.parametrize("key, value", [("seed", -1), ("n_symbols", 0)])
+def test_montecarlo_value_out_of_range_exits_before_solving(tmp_path, monkeypatch,
+                                                            key, value):
+    def unreachable(problem, settings):
+        raise AssertionError("a malformed config reached the solver")
+    monkeypatch.setattr("pcs_shaper.cli.solve", unreachable)
+    cfg = mini_config(output="sweep.csv")
+    cfg["montecarlo"] = {**cfg["montecarlo"], key: value}
+    path = write_config(tmp_path, cfg)
+    assert run(str(path), out_dir=str(tmp_path)) == EXIT_CONFIG
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_design_scenario_writes_distribution(tmp_path):
     cfg = mini_config(scenario="design_known", power_dbm=[28.0],
                       output="dist.csv")

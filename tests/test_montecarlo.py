@@ -335,6 +335,16 @@ def test_simulation_reproducibility():
     assert a.ber == b.ber and a.ser == b.ser
 
 
+def test_chunk_streams_are_keyed_by_seed_and_index():
+    draws = {(seed, index): _chunk_rng(seed, index).standard_normal(64)
+             for seed in (0, 1, 2**40) for index in (0, 1, 7)}
+    for (seed, index), z in draws.items():
+        assert np.array_equal(_chunk_rng(seed, index).standard_normal(64), z)
+    assert len({z.tobytes() for z in draws.values()}) == len(draws)
+    with pytest.raises(ConfigError):
+        _chunk_rng(-1, 0)
+
+
 def test_ber_stderr_counts_both_bits_of_a_two_bit_error():
     # only symbols 0 and 2 (Gray labels 00 and 11) are sent, so every symbol
     # error flips both bits: the bit errors are the symbol errors counted twice
@@ -415,7 +425,7 @@ def test_pairwise_mc_agrees_with_closed_form():
 
 
 def _two_likelihood_hits(p_m, p_n, geom, n_samples, seed):
-    """Reference: both log-likelihoods per sample on the same Philox streams."""
+    """Reference: both log-likelihoods per sample on the same keyed streams."""
     sig, d = geom.sigma, geom.d
     hits = 0
     for idx, lo in enumerate(range(0, n_samples, _CHUNK)):
