@@ -70,7 +70,6 @@ _G7_WEIGHTS = np.zeros(15)                      # zero at the Kronrod-only nodes
 _G7_WEIGHTS[1::2] = np.concatenate([_WG, _WG[-2::-1]])
 _ENTROPY_BLOCK = 8192   # samples per -log2 f evaluation in entropy_mc
 _EXP_FLOOR = -700.0     # least shifted exponent _log2_pdf passes to exp
-_PRUNE_EXP = -745.0     # entropy_mc drops components whose shifted exponent stays below this
 
 
 @dataclass(frozen=True)
@@ -194,20 +193,12 @@ def entropy_mc(mm: MixtureModel, n_samples: int, seed: int = 0,
     component, so the components-major ``M x _ENTROPY_BLOCK`` temporaries of
     :func:`_log2_pdf` stay cache-sized.  Each sample's value does not depend
     on the blocking, and both sums run over the whole chunk.
-
-    A block of samples ``mu_k + z`` with ``|z| <= zmax`` passes
-    :func:`_log2_pdf` only the components that can reach it.  Component ``j``
-    is at least ``gap_j = max(|mu_j - mu_k| - zmax, 0)`` from every sample,
-    and component ``k``'s own exponent is at least ``log w_k - zmax^2 / 2``,
-    so if ``log w_j - gap_j^2 / 2`` lies more than 745 below that, ``j``'s
-    shifted exponent is below ``_EXP_FLOOR`` on every sample.  The kernel
-    would floor it to a term of about 1e-304 in a sum of at least 1, far
-    below the sum's last bit, so dropping it changes no value.
+    Flooring the shifted exponents at ``_EXP_FLOOR`` changes terms under
+    1e-304 in a sum of at least 1, far below its last bit.
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     mu, w = _standardized(mm)
-    log_w = np.log(w)
     total = total_sq = 0.0
     for index, lo in enumerate(range(0, n_samples, chunk)):
         rng = _chunk_rng(seed, index)
@@ -215,11 +206,7 @@ def entropy_mc(mm: MixtureModel, n_samples: int, seed: int = 0,
         h = np.empty(n)
         at = 0
         for k, size in _symbol_blocks(rng, w, n, _ENTROPY_BLOCK):
-            z = rng.standard_normal(size)
-            zmax = float(np.abs(z).max())
-            gap = np.maximum(np.abs(mu - mu[k]) - zmax, 0.0)
-            keep = log_w - 0.5 * gap * gap >= log_w[k] - 0.5 * zmax * zmax + _PRUNE_EXP
-            h[at:at + size] = -_log2_pdf(mu[k] + z, mu[keep], w[keep])
+            h[at:at + size] = -_log2_pdf(mu[k] + rng.standard_normal(size), mu, w)
             at += size
         total += h.sum()
         total_sq += (h * h).sum()

@@ -180,28 +180,6 @@ def test_entropy_mc_blocking_is_bit_identical_to_unblocked_evaluation():
     assert entropy_mc(mm, n_samples, seed=19, chunk=chunk) == want
 
 
-def test_entropy_mc_pruning_is_bit_identical_to_all_components(monkeypatch):
-    # clusters 40 sigma apart; a 1e-12 weight and a zero weight one sigma
-    # from a heavy component
-    mm = MixtureModel(means=0.3 * np.array([0.0, 1.0, 40.0, 80.0, 81.0, 120.0]), sigma=0.3,
-                      weights=np.array([0.3, 1e-12, 0.25, 0.0, 0.2, 0.25 - 1e-12]))
-    chunk = 3 * _ENTROPY_BLOCK + 11
-    n_samples = 2 * chunk + 5
-    passed = []
-
-    def recording(u, mu, w):
-        passed.append(mu.size)
-        return _log2_pdf(u, mu, w)
-
-    monkeypatch.setattr(capacity, "_log2_pdf", recording)
-    pruned = entropy_mc(mm, n_samples, seed=29, chunk=chunk)
-    assert min(passed) < 5                          # far components were dropped
-    passed.clear()
-    monkeypatch.setattr(capacity, "_PRUNE_EXP", -math.inf)
-    assert entropy_mc(mm, n_samples, seed=29, chunk=chunk) == pruned
-    assert set(passed) == {5}                       # every nonzero weight
-
-
 def test_grid_agrees_with_adaptive_quadrature():
     rng = np.random.default_rng(71)
     for _ in range(20):
