@@ -13,7 +13,6 @@ Library layout:
 * :mod:`pcs_shaper.solver` - constrained concave maximization and the four
   sequential-linearization design procedures
 * :mod:`pcs_shaper.montecarlo` - MAP-detector simulation and position sampling
-* :mod:`pcs_shaper.shaper` - scikit-learn style estimator facade
 * :mod:`pcs_shaper.cli` - JSON-config experiment harness (``pcs-shaper``)
 """
 from .channel import (
@@ -65,7 +64,6 @@ from .exceptions import (
 )
 from .montecarlo import ErrorStats, SimConfig, map_detect, sample_eve_positions, \
     simulate_error_rates
-from .shaper import PcsShaper
 from .solver import (
     CccpSettings,
     DesignProblem,

@@ -104,10 +104,6 @@ class Distribution:
     def size(self) -> int:
         return self.probs.size
 
-    def active_count(self, floor: float = 1e-6) -> int:
-        """Number of symbols carrying non-negligible probability."""
-        return int(np.count_nonzero(self.probs >= floor))
-
     def rendered(self, floor: float = 1e-6) -> np.ndarray:
         """Probabilities with sub-``floor`` entries rendered as exact zeros.
 
@@ -117,16 +113,9 @@ class Distribution:
         out[out < floor] = 0.0
         return out
 
-    def to_list(self) -> list[float]:
-        return [float(x) for x in self.probs]
-
     @classmethod
     def uniform(cls, m: int) -> "Distribution":
         return cls(np.full(m, 1.0 / m))
-
-    @classmethod
-    def from_list(cls, values) -> "Distribution":
-        return cls(np.asarray(values, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,9 @@ The cuts between neighbouring winners are computed once per chunk (O(M)), and
 a sample's interval is the number of cuts strictly below it; an exact tie
 goes to the lower index, as an argmax over the metrics would send it.
 
-Both lookups, the MAP interval and the inverse-CDF symbol of
-:func:`_draw_symbols` (which ``PcsShaper.sample`` uses), count instead of
-searching: with at most M - 1 edges, one comparison per edge and sample,
-summed in bytes, costs less than a binary search whose branches the
-processor cannot predict.  Noise is drawn and
+The lookup counts instead of searching: with at most M - 1 cuts, one
+comparison per cut and sample, summed in bytes, costs less than a binary
+search whose branches the processor cannot predict.  Noise is drawn and
 detected in blocks of at most ``_BLOCK`` samples of one symbol, so that these
 comparisons stay in cache.  Successive draws continue the chunk's one
 stream, so the noise and the counts do not depend on the blocking.
@@ -127,14 +125,14 @@ def _decision_intervals(means: np.ndarray, probs: np.ndarray,
     return np.array(winners, dtype=np.intp), np.array(cuts)
 
 
-def _count_below(edges: np.ndarray, x: np.ndarray, strict: bool) -> np.ndarray:
-    """Number of ``edges`` below each ``x`` (``< x`` if ``strict``, else ``<= x``).
+def _count_below(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Number of ``edges`` strictly below each ``x``.
 
-    For sorted ``edges`` this is ``searchsorted(edges, x, "left" if strict else
-    "right")``, computed without branches: one comparison per edge and sample,
-    summed as bytes in the narrowest unsigned type that holds ``edges.size``.
+    For sorted ``edges`` this is ``searchsorted(edges, x, "left")``, computed
+    without branches: one comparison per edge and sample, summed as bytes in
+    the narrowest unsigned type that holds ``edges.size``.
     """
-    hits = edges[:, None] < x if strict else edges[:, None] <= x
+    hits = edges[:, None] < x
     counts = hits.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(edges.size))
     return counts.astype(np.intp)
 
@@ -157,20 +155,8 @@ def map_detect(y, c: PamConstellation, p, link, intervals=None) -> np.ndarray | 
                                         probs, link.sigma)
     winners, cuts = intervals
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    decisions = winners[_count_below(cuts, y_arr, strict=True)]
+    decisions = winners[_count_below(cuts, y_arr)]
     return int(decisions[0]) if np.isscalar(y) else decisions
-
-
-def _draw_symbols(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF symbol draw for uniforms ``u`` in [0, 1).
-
-    A symbol is the number of CDF entries ``<= u`` before the last nonzero
-    probability.  This is ``searchsorted(cdf, u, "right")`` on the CDF forced
-    to 1 from that entry on, so rounding in the cumulative sum can never send
-    a zero-probability symbol.
-    """
-    cdf = np.cumsum(probs)[:np.flatnonzero(probs)[-1]]
-    return _count_below(cdf, u, strict=False)
 
 
 def _symbol_blocks(rng: np.random.Generator, probs: np.ndarray, n: int,

@@ -57,7 +57,6 @@ __all__ = [
     "DesignProblem",
     "SolveResult",
     "feasibility_report",
-    "AffineFunction",
     "inner_solve",
     "linearized_ber_constraint",
     "solve",
@@ -95,6 +94,8 @@ class CccpSettings:
             raise ConfigError("max_iters and n_starts must be >= 1")
         if not self.rel_tol > 0:
             raise ConfigError("rel_tol must be > 0")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -494,29 +495,17 @@ def inner_solve(objective, n: int, rows=(), symmetric: bool = False,
     return Distribution(project_to_simplex(p))
 
 
-@dataclass(frozen=True)
-class AffineFunction:
-    """f(p) = offset + coef . p"""
-
-    coef: np.ndarray
-    offset: float
-
-    def __call__(self, p) -> float:
-        arr = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
-        return self.offset + float(self.coef @ arr)
-
-
 def linearized_ber_constraint(p_k, link: LinkBudget,
-                              c: PamConstellation) -> AffineFunction:
-    """Tangent plane of the concave BER upper bound at the interior point p_k.
+                              c: PamConstellation) -> np.ndarray:
+    """Coefficient row ``g`` of the concave BER upper bound's tangent at p_k.
 
-    Majorizes the bound everywhere, so enforcing ``tangent(p) <= threshold``
-    guarantees the true constraint.  Each term p_m P_mn depends on p only
-    through p_m and ln(p_m/p_n), so the bound is homogeneous of degree 1 and,
-    by Euler's theorem, equals ``grad @ p_k``: the tangent passes through the
-    origin.
+    The tangent majorizes the bound everywhere, so enforcing ``g @ p <=
+    threshold`` guarantees the true constraint.  Each term p_m P_mn depends on
+    p only through p_m and ln(p_m/p_n), so the bound is homogeneous of degree 1
+    and, by Euler's theorem, equals ``g @ p_k``: the tangent passes through the
+    origin and has no offset.
     """
-    return AffineFunction(coef=grad_ber_upper(c, p_k, link), offset=0.0)
+    return grad_ber_upper(c, p_k, link)
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +641,7 @@ def _run_single_start(obj: _Objective, start: np.ndarray, settings: CccpSettings
     for k in range(1, settings.max_iters + 1):
         tangent = linearized_ber_constraint(obj.clamp(p), problem.bob_link, obj.c)
         margin = 1e-13 * (1.0 + thr)
-        project.set_row(len(slab), tangent.coef, -math.inf,
-                        thr - margin - tangent.offset)
+        project.set_row(len(slab), tangent, -math.inf, thr - margin)
         fg = obj.surrogate(p)
         p, f, reason = _pg_ascent(fg, project, p, _INNER_MAX_ITER, _INNER_KKT_TOL)
         inner_stops[reason] += 1

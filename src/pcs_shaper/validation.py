@@ -1,4 +1,4 @@
-"""Small input-validation helpers used by the data types and the estimator."""
+"""Small input-validation helpers used by the data types and the config."""
 from __future__ import annotations
 
 import math

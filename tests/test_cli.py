@@ -105,6 +105,23 @@ def test_montecarlo_value_out_of_range_exits_before_solving(tmp_path, monkeypatc
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("by_flag", [False, True])
+def test_solver_seed_out_of_range_exits_before_solving(tmp_path, monkeypatch, capsys,
+                                                       seed, by_flag):
+    def unreachable(problem, settings):
+        raise AssertionError("a malformed config reached the solver")
+    monkeypatch.setattr("pcs_shaper.cli.solve", unreachable)
+    cfg = mini_config(scenario="design_known", power_dbm=[28.0], output="dist.csv")
+    if not by_flag:
+        cfg["solver"] = {**cfg["solver"], "seed": seed}
+    path = write_config(tmp_path, cfg)
+    argv = ["run", str(path), "--out", str(tmp_path)]
+    assert main(argv + ["--seed", str(seed)] if by_flag else argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "dist.csv").exists()
+
+
 def test_design_scenario_writes_distribution(tmp_path):
     cfg = mini_config(scenario="design_known", power_dbm=[28.0],
                       output="dist.csv")

@@ -1,5 +1,4 @@
 """Constellation construction, Gray labels, flicker and symmetry machinery."""
-import json
 import math
 
 import numpy as np
@@ -134,19 +133,11 @@ def test_distribution_validation():
         Distribution(np.array([[0.5, 0.5]]))
 
 
-def test_distribution_serialization_round_trip():
-    p = Distribution(np.array([0.1, 0.2, 0.3, 0.4]))
-    text = json.dumps(p.to_list())
-    back = Distribution.from_list(json.loads(text))
-    assert np.array_equal(back.probs, p.probs)
-
-
 def test_distribution_rendering_floor():
     p = Distribution(np.array([0.5, 1e-7, 0.4999999, 0.0]))
     rendered = p.rendered()
     assert rendered[1] == 0.0 and rendered[3] == 0.0
     assert p.probs[1] == 1e-7          # stored vector untouched
-    assert p.active_count() == 2
 
 
 def test_constraint_set_validation():

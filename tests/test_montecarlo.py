@@ -18,7 +18,6 @@ from pcs_shaper.montecarlo import (
     SimConfig,
     _chunk_rng,
     _decision_intervals,
-    _draw_symbols,
     map_detect,
     pairwise_error_mc,
     sample_eve_positions,
@@ -122,13 +121,6 @@ def test_map_detect_exact_tie_goes_to_lower_index():
     # equal priors, means -1 and 1: y = 0 ties, and argmax takes index 0
     assert map_detect(0.0, c, np.array([0.5, 0.5]), link) == 0
     assert map_detect(np.nextafter(0.0, 1.0), c, np.array([0.5, 0.5]), link) == 1
-
-
-def test_draw_never_sends_a_zero_probability_symbol():
-    probs = np.array([0.1] * 10 + [0.0] * 6)
-    assert np.cumsum(probs)[9] < 1.0          # the rounding this guards against
-    u = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
-    assert _draw_symbols(probs, u).tolist() == [0, 5, 9]
 
 
 def _symbol_major_draw(cfg, rng, n):

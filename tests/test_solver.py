@@ -447,18 +447,18 @@ def test_linearized_ber_constraint_properties(receiver, noise_params):
     led, bob, _, _, _ = links_at_dbm(25.0, receiver, noise_params)
     c = build_constellation(8, led.peak_amplitude)
     p0 = dirichlet_interior(rng, 8, floor=0.01)
-    affine = linearized_ber_constraint(p0, bob, c)
-    assert affine(p0) == pytest.approx(ber_upper_bound(c, p0, bob), rel=1e-12)
+    g = linearized_ber_constraint(p0, bob, c)
+    assert float(g @ p0) == pytest.approx(ber_upper_bound(c, p0, bob), rel=1e-12)
     for _ in range(25):
         p = rng.dirichlet(np.ones(8))
-        assert affine(p) >= ber_upper_bound(c, p, bob) - 1e-12
+        assert float(g @ p) >= ber_upper_bound(c, p, bob) - 1e-12
     h = 1e-6
     for i in range(3):
         up, dn = p0.copy(), p0.copy()
         up[i] += h
         dn[i] -= h
         num = (ber_upper_bound(c, up, bob) - ber_upper_bound(c, dn, bob)) / (2 * h)
-        assert affine.coef[i] == pytest.approx(num, rel=1e-5, abs=1e-10)
+        assert g[i] == pytest.approx(num, rel=1e-5, abs=1e-10)
 
 
 @settings(max_examples=100)
@@ -474,9 +474,8 @@ def test_ber_tangent_passes_through_the_origin(receiver, noise_params, m,
     p = np.array(raw[:m])
     assume(p.sum() > 0.0)
     q = np.maximum(p / p.sum(), ACTIVE_SUPPORT_FLOOR)
-    tangent = linearized_ber_constraint(q, bob, c)
-    assert tangent.offset == 0.0
-    assert tangent(q) == pytest.approx(ber_upper_bound(c, q, bob), rel=1e-12, abs=1e-300)
+    g = linearized_ber_constraint(q, bob, c)
+    assert float(g @ q) == pytest.approx(ber_upper_bound(c, q, bob), rel=1e-12, abs=1e-300)
     assert float(q @ grad_ber_approx(c, q, bob)) == pytest.approx(
         ber_approx(c, q, bob), rel=1e-12, abs=1e-300)
 
@@ -565,7 +564,7 @@ def _next_subproblem_rise(obj, p):
     bound = prob.constraints.flicker_alpha * prob.dc_bias
     tangent = linearized_ber_constraint(obj.clamp(p), prob.bob_link, prob.constellation)
     project = _Projector([(prob.constellation.amplitudes, -bound, bound),
-                          (tangent.coef, -math.inf, prob.constraints.pre_fec_threshold)])
+                          (tangent, -math.inf, prob.constraints.pre_fec_threshold)])
     fg = obj.surrogate(p)
     f0, _ = fg(p)
     _, f, _ = _pg_ascent(fg, project, p, 3000, 1e-8)
@@ -734,6 +733,17 @@ def test_problem_validation(receiver, noise_params):
     with pytest.raises(ConfigError):
         DesignProblem(variant="nope", constellation=c, bob_link=bob,
                       dc_bias=led.dc_bias, eve_link=eve)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_settings_reject_a_seed_outside_the_start_key_range(seed):
+    with pytest.raises(ConfigError):
+        CccpSettings(seed=seed)
+
+
+def test_largest_seed_keys_every_start():
+    starts = _start_points(4, CccpSettings(n_starts=3, seed=2**64 - 1))
+    assert len(starts) == 3
 
 
 def test_restoration_from_infeasible_uniform_start(receiver, noise_params):
