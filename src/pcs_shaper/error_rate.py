@@ -61,7 +61,7 @@ class PairwiseGeometry:
     """Signed pairwise received distance d (A) and noise sigma (A).
 
     ``d = +inf`` / ``-inf`` encode the missing competitors beyond the first and
-    last symbol of the grid.
+    last symbol of the grid; ``nan`` is rejected.
     """
 
     d: float
@@ -69,6 +69,8 @@ class PairwiseGeometry:
 
     def __post_init__(self):
         check_positive("sigma", self.sigma)
+        if math.isnan(self.d):
+            raise ConfigError("pairwise distance must not be nan")
         if self.d == 0.0:
             raise ConfigError("pairwise distance must be nonzero for m != n")
 

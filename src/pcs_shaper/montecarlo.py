@@ -21,12 +21,16 @@ The cuts between neighbouring winners are computed once per chunk (O(M)), and
 a sample's interval is the number of cuts strictly below it; an exact tie
 goes to the lower index, as an argmax over the metrics would send it.
 
-The lookup counts instead of searching: with at most M - 1 cuts, one
-comparison per cut and sample, summed in bytes, costs less than a binary
-search whose branches the processor cannot predict.  Noise is drawn and
-detected in blocks of at most ``_BLOCK`` samples of one symbol, so that these
-comparisons stay in cache.  Successive draws continue the chunk's one
-stream, so the noise and the counts do not depend on the blocking.
+The simulation counts instead of looking samples up.  Noise is drawn in
+blocks of at most ``_BLOCK`` samples of one symbol, so that a block stays in
+cache, and a block's confusion row is read off the counts of its samples
+above each cut.  These counts fall as the cut rises, so they are taken cut by
+cut outward from the interval of the sent symbol's noiseless receive value,
+upward until none is above and downward until all are; the cuts not visited
+are known.  The passes over a block are those of the intervals its noise
+reaches: two when no sample leaves home, whatever M, so the cost follows the
+errors rather than M.  Successive draws continue the chunk's one stream, so
+the noise and the counts do not depend on the blocking.
 """
 from __future__ import annotations
 
@@ -72,6 +76,10 @@ class SimConfig:
     distribution: Distribution
 
     def __post_init__(self):
+        for name in ("n_symbols", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_symbols < 1:
             raise ConfigError("n_symbols must be >= 1")
         if self.distribution.size != self.constellation.order_m:
@@ -130,7 +138,9 @@ def _count_below(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     For sorted ``edges`` this is ``searchsorted(edges, x, "left")``, computed
     without branches: one comparison per edge and sample, summed as bytes in
-    the narrowest unsigned type that holds ``edges.size``.
+    the narrowest unsigned type that holds ``edges.size``.  Only ``map_detect``
+    uses it; the simulation counts a block per cut instead, and only at the
+    cuts its noise reaches.
     """
     hits = edges[:, None] < x
     counts = hits.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(edges.size))
@@ -177,16 +187,44 @@ def _symbol_blocks(rng: np.random.Generator, probs: np.ndarray, n: int,
 
 
 def _simulate_chunk(cfg: SimConfig, index: int, n: int) -> np.ndarray:
+    """Confusion counts of chunk ``index``, ``n`` symbols, walked out from home.
+
+    ``above[j + 1]``, the number of a block's samples above ``cuts[j]``, falls
+    as ``j`` rises, and interval ``i`` holds ``above[i] - above[i + 1]``
+    samples (``above[0]`` is the block size, the last entry 0).  A block of
+    symbol ``s`` starts at ``home[s]``, the interval of its noiseless receive
+    value, and counts cut by cut upward until no sample is above a cut, then
+    downward until every sample is; the cuts it does not visit hold 0 or the
+    block size.  The passes are those of the intervals the block reaches, two
+    at most when no sample leaves home, and never more than M - 1.
+    """
     rng = _chunk_rng(cfg.seed, index)
     probs = cfg.distribution.probs
+    sigma = cfg.link.sigma
     means = cfg.link.composite_gain * cfg.constellation.amplitudes
     m = cfg.constellation.order_m
     confusion = np.zeros((m, m), dtype=np.intp)
-    intervals = _decision_intervals(means, probs, cfg.link.sigma)
+    intervals = _decision_intervals(means, probs, sigma)
+    winners, cuts = intervals
+    home = np.searchsorted(winners, map_detect(
+        means, cfg.constellation, probs, cfg.link, intervals)).tolist()
+    cuts = cuts.tolist()
     for sent, size in _symbol_blocks(rng, probs, n):
-        y = means[sent] + cfg.link.sigma * rng.standard_normal(size)
-        detected = map_detect(y, cfg.constellation, probs, cfg.link, intervals)
-        confusion[sent] += np.bincount(detected, minlength=m)
+        y = rng.standard_normal(size)
+        y *= sigma
+        y += means[sent]                # the bits of means[sent] + sigma * z
+        start = home[sent]
+        above = np.zeros(len(cuts) + 2, dtype=np.intp)
+        above[:start + 1] = size
+        for j in range(start, len(cuts)):
+            above[j + 1] = np.count_nonzero(y > cuts[j])
+            if not above[j + 1]:
+                break
+        for j in range(start - 1, -1, -1):
+            above[j + 1] = np.count_nonzero(y > cuts[j])
+            if above[j + 1] == size:
+                break
+        confusion[sent, winners] += above[:-1] - above[1:]
     return confusion
 
 

@@ -45,6 +45,15 @@ def test_pairwise_inactive_competitor_never_wins():
     assert pairwise_error_prob(0.0, 0.4, geom) == 1.0
 
 
+def test_pairwise_rejects_nan_distance_and_keeps_infinite_ones():
+    with pytest.raises(ConfigError):
+        PairwiseGeometry(d=math.nan, sigma=1.0)
+    for d in (math.inf, -math.inf):         # a missing competitor never wins
+        geom = PairwiseGeometry(d=d, sigma=1.0)
+        assert pairwise_error_prob(0.3, 0.7, geom) == 0.0
+        assert pairwise_error_mc(0.3, 0.7, geom, 1000, seed=2) == (0.0, 0.0)
+
+
 # erfc(u) rounded to double from a 50-digit evaluation
 ERFC_REFERENCE = [
     (-5.5, 1.9999999999999927), (-1.0, 1.8427007929497148),

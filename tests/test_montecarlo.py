@@ -216,6 +216,41 @@ def test_blocked_simulation_is_bit_identical_to_unblocked_chunks(m):
             assert np.array_equal(got, want), (m, k, n)
 
 
+def _walk_edge_cases(m):
+    """(link, probs, what must show in the counts) for the outward count."""
+    uniform = np.ones(m) / m
+    cases = [(LinkBudget(composite_gain=0.0, sigma=0.5), uniform, "no cuts"),
+             (LinkBudget(composite_gain=1.0, sigma=3.0), uniform, "both ends"),
+             (LinkBudget(composite_gain=1.0, sigma=1e-12), uniform, "never leaves")]
+    if m > 2:                       # two distinct means always split the line
+        faint = np.ones(m)
+        faint[m // 2] = 0.1
+        cases.append((LinkBudget(composite_gain=1.0, sigma=0.5), faint / faint.sum(),
+                       "empty interval"))
+    return cases
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_outward_count_edge_cases_are_bit_identical_to_unblocked_chunks(m):
+    c = build_constellation(m, 1.0)
+    for link, probs, case in _walk_edge_cases(m):
+        winners, cuts = _decision_intervals(link.composite_gain * c.amplitudes,
+                                            probs, link.sigma)
+        for n in (_BLOCK - 1, 3 * _BLOCK + 5):
+            cfg = SimConfig(n_symbols=n, seed=m + n, link=link, constellation=c,
+                            distribution=Distribution(probs))
+            got = simulate_error_rates(cfg).confusion_counts
+            assert np.array_equal(got, _unblocked_chunk(cfg, 0, n)), (m, case, n)
+            if case == "no cuts":
+                assert cuts.size == 0 and np.all(got[:, winners[0]] == got.sum(axis=1))
+            elif case == "both ends" and n < _BLOCK:    # one block per symbol
+                assert got[m // 2, winners[0]] > 0 and got[m // 2, winners[-1]] > 0
+            elif case == "never leaves":
+                assert np.array_equal(np.diag(got), got.sum(axis=1))
+            elif case == "empty interval":
+                assert m // 2 not in winners and got[m // 2].sum() > 0
+
+
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
 def test_zero_probability_symbols_are_never_sent_nor_detected(m):
     c = build_constellation(m, 1.0)
@@ -447,6 +482,22 @@ def test_pairwise_mc_zero_probabilities_follow_closed_form():
         assert pairwise_error_mc(p_m, p_n, geom, 1000, seed=3) == (want, 0.0)
     with pytest.raises(ConfigError):
         pairwise_error_mc(-0.1, 0.4, geom, 1000)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_symbols", True), ("n_symbols", 2.5), ("n_symbols", 10.0), ("n_symbols", "10"),
+    ("seed", 1.5), ("seed", 1.0), ("seed", False), ("seed", np.float64(3.0)),
+])
+def test_sim_config_rejects_non_integer_counts_and_seeds(field, value):
+    c = build_constellation(4, 1.0)
+    link = LinkBudget(composite_gain=1.0, sigma=0.5)
+    kwargs = dict(n_symbols=10, seed=1, link=link, constellation=c,
+                  distribution=Distribution.uniform(4))
+    with pytest.raises(ConfigError):
+        SimConfig(**{**kwargs, field: value})
+    # numpy integers are integers
+    cfg = SimConfig(**{**kwargs, field: np.int64(kwargs[field])})
+    assert simulate_error_rates(cfg).confusion_counts.sum() == 10
 
 
 def test_sim_config_validation():
