@@ -20,6 +20,15 @@ windows ``[r_m - 10 sigma, r_m + 10 sigma]`` and skip the gaps between them:
 Internally integrals run in noise-standardized coordinates (means/sigma, unit
 variance) with ``log2(sigma)`` added back, so the extreme photocurrent scales
 never touch the quadrature.
+
+:func:`entropy_mc`, the sampling oracle for both, evaluates each sample
+``y = mu_k + x`` relative to its own component k: with the home term
+factored out, ``-log2 f`` is ``x^2/2`` plus a constant minus
+``log1p(sum_j exp(a_j x + b_j))``, affine exponents and no per-sample max.
+The sum runs only over the components within reach of k, those whose term
+can exceed ``2^-54 / M`` for ``|x| <= 8.5``; a sample beyond that, or of a
+component whose terms could cancel its home term by more than a few ulp,
+goes through the log-sum-exp of the quadrature path instead.
 """
 from __future__ import annotations
 
@@ -31,7 +40,7 @@ import numpy as np
 from .constellation import Distribution, PamConstellation, signed_amplitude_mean
 from .exceptions import ConfigError, DegradedRegimeError, NonConvergenceError
 from .montecarlo import _chunk_rng, _symbol_blocks
-from .validation import check_probability_vector
+from .validation import check_integer, check_probability_vector
 
 __all__ = [
     "MixtureModel",
@@ -70,6 +79,9 @@ _G7_WEIGHTS = np.zeros(15)                      # zero at the Kronrod-only nodes
 _G7_WEIGHTS[1::2] = np.concatenate([_WG, _WG[-2::-1]])
 _ENTROPY_BLOCK = 8192   # samples per -log2 f evaluation in entropy_mc
 _EXP_FLOOR = -700.0     # least shifted exponent _log2_pdf passes to exp
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+_REACH_X = 8.5          # |x| the home-relative kernel covers; P(|N(0,1)| > 8.5) ~ 2e-17
+_HOME_EXP_MAX = 64.0    # largest kept exponent the home-relative kernel evaluates
 
 
 @dataclass(frozen=True)
@@ -123,6 +135,86 @@ def _log2_pdf(u, mu: np.ndarray, w: np.ndarray):
     np.exp(z, out=z)
     lse = zmax + np.log(z.sum(axis=0))
     return (lse - 0.5 * math.log(2.0 * math.pi)) * LOG2E
+
+
+class _HomeKernel:
+    """``-log2 f(mu_k + x)`` of samples ``x`` drawn from their own component k.
+
+    Relative to the home term ``w_k N(x)``, the mixture is
+
+        f(mu_k + x) = w_k N(x) (1 + sum_{j in R_k} exp(a_j x + b_j)),
+
+    with ``a_j = mu_j - mu_k`` and ``b_j = -a_j^2 / 2 + ln(w_j / w_k)``, so
+
+        -log2 f = (x^2 / 2 + ln(2 pi) / 2 - ln w_k - log1p(s)) log2(e),
+
+    where ``s`` is the sum: an outer product, an add, an ``exp`` and a row
+    sum over the ``(|R_k|, n)`` block, with no per-sample max or shift.  The
+    reach ``R_k``, fixed once per mixture, keeps the components with
+    ``b_j + X |a_j| >= ln(2^-54 / M)`` for ``X = _REACH_X``: for ``|x| <= X``
+    the dropped terms sum to under ``2^-54``, below the last bit of
+    ``1 + s``.  Only the rows whose exponents can fall under ``_EXP_FLOOR``
+    are floored there, as in :func:`_log2_pdf`.
+
+    Guards keep every value within rounding of the exact one.  A sample with
+    ``|x| > X`` goes through :func:`_log2_pdf` on its own, in coordinates
+    centred on ``mu_k``; so does every sample of a component whose kept
+    exponents can exceed ``_HOME_EXP_MAX``, where ``x^2/2 - ln w_k`` and
+    ``log1p(s)`` would cancel in more than a few ulp.  Such a component has
+    ``w_k < exp(X^2/2 - _HOME_EXP_MAX) w_j`` (below 1e-12 of a neighbour), so
+    it is all but never sampled.  The rows are summed one by one in a fixed
+    order, so a sample's value depends only on ``(k, x)``, not on the block
+    it comes in.
+    """
+
+    def __init__(self, mu: np.ndarray, w: np.ndarray):
+        self.w = w
+        log_w = np.log(w)
+        drop = math.log(2.0**-54 / mu.size)
+        self._homes = []
+        for k in range(mu.size):
+            a = mu - mu[k]
+            b = -0.5 * a * a + (log_w - log_w[k])
+            top, low = b + _REACH_X * np.abs(a), b - _REACH_X * np.abs(a)
+            reach = np.flatnonzero(top >= drop)
+            reach = reach[reach != k]
+            guarded = bool(reach.size) and top[reach].max() > _HOME_EXP_MAX
+            floored = low[reach] < _EXP_FLOOR
+            rows = np.concatenate([reach[floored], reach[~floored]])
+            self._homes.append((a, a[rows, None], b[rows, None], int(floored.sum()),
+                                _HALF_LN_2PI - log_w[k], guarded))
+
+    def _exact(self, a: np.ndarray, x: float) -> float:
+        return -_log2_pdf(x, a, self.w)[0]
+
+    def __call__(self, k: int, x: np.ndarray, out: np.ndarray) -> None:
+        """Write ``-log2 f(mu_k + x)`` into ``out``, one value per sample."""
+        a_all, a, b, n_floored, c_k, guarded = self._homes[k]
+        if guarded:
+            out[:] = [self._exact(a_all, xi) for xi in x.tolist()]
+            return
+        np.multiply(x, x, out=out)
+        far, near = (), x
+        if out.max() > _REACH_X**2:
+            far = np.flatnonzero(out > _REACH_X**2)
+            near = np.clip(x, -_REACH_X, _REACH_X)  # the far values are replaced below
+        s = 0.0
+        if a.size:
+            z = a * near
+            z += b
+            if n_floored:
+                np.maximum(z[:n_floored], _EXP_FLOOR, out=z[:n_floored])
+            np.exp(z, out=z)
+            s = z[0]
+            for row in z[1:]:
+                s += row
+            np.log1p(s, out=s)
+        out *= 0.5
+        out += c_k
+        out -= s
+        out *= LOG2E
+        for i in far:
+            out[i] = self._exact(a_all, float(x[i]))
 
 
 def _entropy_panels(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,17 +280,22 @@ def entropy_mc(mm: MixtureModel, n_samples: int, seed: int = 0,
     from the Monte-Carlo oracles' keyed stream ``_chunk_rng(seed, i)`` and
     symbol-major as they draw it: one multinomial draw of how many samples
     each component of nonzero weight gets, then each component's
-    ``N(mu_k, 1)`` samples in component order.  Within a chunk ``-log2 f`` is
-    evaluated in blocks of at most ``_ENTROPY_BLOCK`` samples of one
-    component, so the components-major ``M x _ENTROPY_BLOCK`` temporaries of
-    :func:`_log2_pdf` stay cache-sized.  Each sample's value does not depend
-    on the blocking, and both sums run over the whole chunk.
-    Flooring the shifted exponents at ``_EXP_FLOOR`` changes terms under
-    1e-304 in a sum of at least 1, far below its last bit.
+    ``x ~ N(0, 1)`` offsets in component order, in blocks of at most
+    ``_ENTROPY_BLOCK`` so that the ``(reach, block)`` temporaries stay
+    cache-sized.  Every sample of a block shares its component k, so
+    :class:`_HomeKernel` evaluates ``-log2 f(mu_k + x)`` relative to the home
+    term ``w_k N(x)``: four passes over the block (outer product, add,
+    ``exp``, row sum) and only over the components within reach of k.  A
+    sample with ``|x| > 8.5`` (probability ~2e-17), or of a component whose
+    kept exponents can exceed ``_HOME_EXP_MAX``, is evaluated alone by
+    :func:`_log2_pdf`.  Each value is within rounding of the exact one and
+    depends only on ``(k, x)``, not on the blocking; both sums run over the
+    whole chunk.  ``seed``, ``n_samples`` and ``chunk`` must be integers.
     """
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
+    check_integer("n_samples", n_samples, 1)
+    check_integer("chunk", chunk, 1)
     mu, w = _standardized(mm)
+    kernel = _HomeKernel(mu, w)
     total = total_sq = 0.0
     for index, lo in enumerate(range(0, n_samples, chunk)):
         rng = _chunk_rng(seed, index)
@@ -206,7 +303,7 @@ def entropy_mc(mm: MixtureModel, n_samples: int, seed: int = 0,
         h = np.empty(n)
         at = 0
         for k, size in _symbol_blocks(rng, w, n, _ENTROPY_BLOCK):
-            h[at:at + size] = -_log2_pdf(mu[k] + rng.standard_normal(size), mu, w)
+            kernel(k, rng.standard_normal(size), h[at:at + size])
             at += size
         total += h.sum()
         total_sq += (h * h).sum()

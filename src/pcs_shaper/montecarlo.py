@@ -45,6 +45,7 @@ from .channel import LambertianLed, LinkBudget, NoiseParams, ReceiverPd, \
 from .constellation import Distribution, PamConstellation
 from .error_rate import PairwiseGeometry
 from .exceptions import ConfigError
+from .validation import check_integer
 
 __all__ = [
     "SimConfig",
@@ -61,10 +62,9 @@ _BLOCK = 1 << 14        # symbols per detection block within a chunk
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     """The generator of chunk ``index`` of the stream that ``seed`` fixes."""
-    if seed < 0:
-        raise ConfigError(f"Monte-Carlo seed must be >= 0, got {seed}")
+    seed = check_integer("Monte-Carlo seed", seed, 0)
     return np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(int(seed), spawn_key=(index,))))
+        np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,8 @@ class SimConfig:
     distribution: Distribution
 
     def __post_init__(self):
-        for name in ("n_symbols", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.n_symbols < 1:
-            raise ConfigError("n_symbols must be >= 1")
+        check_integer("n_symbols", self.n_symbols, 1)
+        check_integer("seed", self.seed, 0)
         if self.distribution.size != self.constellation.order_m:
             raise ConfigError("distribution size must match the modulation order")
 
@@ -270,8 +266,7 @@ def sample_eve_positions(n: int, mode: str, led: LambertianLed, pd: ReceiverPd,
     is exact.  ``area_uniform`` draws positions uniformly over the disc area
     instead (r ~ sqrt law), which weights large offsets more heavily.
     """
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    check_integer("n", n, 1)
     if mode not in ("radial_uniform", "area_uniform"):
         raise ConfigError(f"unknown sampling mode {mode!r}")
     rng = _chunk_rng(seed, 0)
@@ -299,8 +294,8 @@ def pairwise_error_mc(p_m: float, p_n: float, geom: PairwiseGeometry,
     Each chunk's noise is drawn in blocks of ``_BLOCK`` from the chunk's one
     stream, so the hits are those of drawing the chunk at once.
     """
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
+    check_integer("n_samples", n_samples, 1)
+    check_integer("seed", seed, 0)
     if p_m < 0 or p_n < 0:
         raise ConfigError("probabilities must be nonnegative")
     if p_n == 0 or p_m == 0:

@@ -527,9 +527,10 @@ class _Objective:
         self.problem = problem
         c = problem.constellation
         self.c = c
-        self.grid_b = EntropyGrid(problem.bob_link.composite_gain * c.amplitudes,
-                                  problem.bob_link.sigma)
         v = problem.variant
+        if v != "qos_max_eve_ber":      # QoS reads only Eve's BER kernels
+            self.grid_b = EntropyGrid(problem.bob_link.composite_gain * c.amplitudes,
+                                      problem.bob_link.sigma)
         if v == "known_csi":
             self.grid_e = EntropyGrid(problem.eve_link.composite_gain * c.amplitudes,
                                       problem.eve_link.sigma)

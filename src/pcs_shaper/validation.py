@@ -20,6 +20,16 @@ def check_positive(name: str, value: float, allow_zero: bool = False) -> float:
     return value
 
 
+def check_integer(name: str, value, minimum: int) -> int:
+    """``value`` as an int; ConfigError unless it is an integer (a numpy
+    integer passes, a bool does not) and at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def check_in_interval(name: str, value: float, lo: float, hi: float,
                       open_lo: bool = False, open_hi: bool = False) -> float:
     value = float(value)

@@ -9,8 +9,10 @@ from scipy.integrate import quad
 from pcs_shaper import capacity
 from pcs_shaper.capacity import (
     _ENTROPY_BLOCK,
+    _REACH_X,
     EntropyGrid,
     MixtureModel,
+    _HomeKernel,
     _entropy_panels,
     _log2_pdf,
     _standardized,
@@ -165,19 +167,95 @@ def test_entropy_mc_blocking_is_bit_identical_to_unblocked_evaluation():
     chunk = 3 * _ENTROPY_BLOCK + 11                 # several blocks, the last partial
     n_samples = 2 * chunk + 5                       # three chunks, the last partial
     mu, w = _standardized(mm)
+    kernel = _HomeKernel(mu, w)
     total = total_sq = 0.0
     for chunk_index, lo in enumerate(range(0, n_samples, chunk)):
         rng = _chunk_rng(19, chunk_index)
         n = min(chunk, n_samples - lo)
         counts = rng.multinomial(n, w / w.sum())
-        u = np.repeat(mu, counts) + rng.standard_normal(n)
-        h = -_log2_pdf(u, mu, w)
+        x = rng.standard_normal(n)
+        h = np.empty(n)
+        ends = np.cumsum(counts)
+        for k, (start, end) in enumerate(zip(ends - counts, ends)):
+            if end > start:                         # each component's samples at once
+                kernel(k, x[start:end], h[start:end])
         total += h.sum()
         total_sq += (h * h).sum()
     mean = total / n_samples
     want = (mean + math.log2(mm.sigma),
             math.sqrt(max(total_sq / n_samples - mean**2, 0.0) / n_samples))
     assert entropy_mc(mm, n_samples, seed=19, chunk=chunk) == want
+
+
+def test_home_kernel_values_do_not_depend_on_the_blocking():
+    # Eleven neighbours one sigma apart sum more than eight rows, where a
+    # one-sample column sum would round in another order.  Component 3 weighs
+    # 1e-200 beside heavy neighbours, so all of its samples take the guard;
+    # about 1 % of the samples lie beyond the kernel's reach.
+    w = np.ones(13)
+    w[3] = 1e-200
+    mu = np.append(np.linspace(-5.5, 5.5, 12), 40.0)
+    kernel = _HomeKernel(mu, w / w.sum())
+    x = 3.0 * np.random.default_rng(5).standard_normal(3000)
+    assert np.count_nonzero(np.abs(x) > _REACH_X) > 0
+    cuts = [*range(60), 61, 64, 1000, 2999, 3000]   # many one-sample blocks
+    for k in range(mu.size):
+        whole, pieces = np.empty_like(x), np.empty_like(x)
+        kernel(k, x, whole)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            kernel(k, x[lo:hi], pieces[lo:hi])
+        assert np.array_equal(whole, pieces)
+
+
+def _long_double_neg_log2_pdf(k, x, mu, w):
+    """``-log2 f(mu_k + x)`` by a log-sum-exp in ``np.longdouble``."""
+    ld = np.longdouble
+    a = (mu - mu[k]).astype(ld)
+    z = -0.5 * (x.astype(ld)[None, :] - a[:, None]) ** 2 + np.log(w.astype(ld))[:, None]
+    zmax = z.max(axis=0)
+    lse = zmax + np.log(np.exp(z - zmax).sum(axis=0))
+    return (0.5 * np.log(2 * np.pi * ld(1)) - lse) / np.log(ld(2))
+
+
+@st.composite
+def _home_samples(draw):
+    """(k, x, means, weights): gaps from 0 to 60 sigma, weights down to 1e-300,
+    samples of component k inside and beyond the kernel's reach."""
+    m = draw(st.integers(1, 16))
+    spread = draw(st.sampled_from([0.5, 3.0, 10.0, 60.0]))
+    mu = spread * np.cumsum(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    w = 10.0 ** -np.array(draw(st.lists(st.floats(0.0, 300.0), min_size=m, max_size=m)))
+    w /= w.sum()
+    near = draw(st.lists(st.floats(-_REACH_X - 2.0, _REACH_X + 2.0), min_size=1,
+                         max_size=40))
+    far = draw(st.lists(st.floats(-1e3, 1e3), max_size=3))
+    return draw(st.integers(0, m - 1)), np.array(near + far), mu, w
+
+
+@settings(max_examples=300)
+@given(_home_samples())
+@example((0, np.array([0.5, 9.0, -20.0, 1e3]), np.array([0.0, 3.0]),
+          np.array([0.5, 0.5])))                            # samples beyond the reach
+@example((0, np.array([0.0, 4.0, 8.0, 8.5]), np.array([0.0, 8.0]),
+          np.array([1e-300, 1.0])))                         # light home, heavy neighbour
+@example((0, np.array([0.0, 1.5, -8.0, 12.0]), np.array([2.0]),
+          np.array([1.0])))                                 # one component, empty reach
+def test_home_kernel_matches_long_double_log_sum_exp(case):
+    k, x, mu, w = case
+    got = np.empty_like(x)
+    _HomeKernel(mu, w)(k, x, got)
+    want = _long_double_neg_log2_pdf(k, x, mu, w)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("bad", [dict(seed=1.5), dict(seed=True), dict(n_samples=1000.5),
+                                 dict(n_samples=True), dict(chunk=2.5)])
+def test_entropy_mc_rejects_non_integer_seeds_and_counts(bad):
+    mm = MixtureModel(means=np.array([0.0, 1.0]), sigma=0.5, weights=np.array([0.5, 0.5]))
+    with pytest.raises(ConfigError, match="integer"):
+        entropy_mc(mm, **{"n_samples": 1000, **bad})
+    # numpy integers are integers
+    assert entropy_mc(mm, np.int64(1000), seed=np.int64(1)) == entropy_mc(mm, 1000, seed=1)
 
 
 def test_grid_agrees_with_adaptive_quadrature():

@@ -444,6 +444,34 @@ def test_sampler_validation(receiver, noise_params):
         sample_eve_positions(5, "diagonal", led, receiver, noise_params, 0.5)
 
 
+@pytest.mark.parametrize("bad", [dict(seed=1.5), dict(seed=True), dict(n_samples=1000.5),
+                                 dict(n_samples=True)])
+def test_pairwise_mc_rejects_non_integer_seeds_and_counts(bad):
+    # seed=1.5 ran seed 1, and n_samples=1000.5 died with a raw TypeError
+    geom = PairwiseGeometry(d=1.0, sigma=1.0)
+    for p_n in (0.6, 0.0):                  # also where no noise is drawn
+        with pytest.raises(ConfigError, match="integer"):
+            pairwise_error_mc(0.4, p_n, geom, **{"n_samples": 1000, "seed": 1, **bad})
+    assert pairwise_error_mc(0.4, 0.6, geom, np.int64(1000), seed=np.int64(1)) \
+        == pairwise_error_mc(0.4, 0.6, geom, 1000, seed=1)
+
+
+@pytest.mark.parametrize("bad", [dict(seed=1.5), dict(seed=False), dict(n=2.5),
+                                 dict(n=True)])
+def test_sampler_rejects_non_integer_seeds_and_counts(bad, receiver, noise_params):
+    args = dict(n=5, mode="radial_uniform", led=led_at_dbm(27.0), pd=receiver,
+                noise=noise_params, optical_power=0.5, seed=1)
+    with pytest.raises(ConfigError, match="integer"):
+        sample_eve_positions(**{**args, **bad})
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.float64(2.0), "3"])
+def test_chunk_streams_take_only_integer_seeds(seed):
+    with pytest.raises(ConfigError, match="integer"):
+        _chunk_rng(seed, 0)
+    assert _chunk_rng(np.uint32(7), 2).random() == _chunk_rng(7, 2).random()
+
+
 def test_pairwise_mc_agrees_with_closed_form():
     geom = PairwiseGeometry(d=2.0, sigma=1.0)
     exact = pairwise_error_prob(0.25, 0.75, geom)

@@ -493,6 +493,25 @@ def _problem(variant, power_dbm, receiver, noise_params, mode="flicker", m=8,
         eve_avg=None if known else eve_avg), led, bob, eve, eve_avg
 
 
+def test_qos_solve_builds_no_entropy_grid(receiver, noise_params, monkeypatch):
+    builds = []
+    build = EntropyGrid.__init__
+    monkeypatch.setattr(EntropyGrid, "__init__",
+                        lambda self, *a: builds.append(a) or build(self, *a))
+    prob = _problem("qos_max_eve_ber", 26.0, receiver, noise_params)[0]
+    res = solve(prob, CccpSettings(n_starts=2, seed=0))
+    assert builds == []
+    # the design as it was while every solve built Bob's grid
+    want = ["0x0.0p+0", "0x1.cda803a245207p-3", "0x0.0p+0", "0x1.252dc276ffa1bp-2",
+            "0x1.2846b73d9b4dfp-2", "0x0.0p+0", "0x1.97cb55a2d3bf5p-4",
+            "0x1.9712bc4636415p-4"]
+    assert res.p_opt.probs.tolist() == [float.fromhex(h) for h in want]
+    assert res.objective == float.fromhex("0x1.b59942fc8f933p-4")
+    solve(_problem("known_csi", 26.0, receiver, noise_params)[0],
+          CccpSettings(n_starts=1, seed=0))
+    assert len(builds) == 2                 # the known-CSI solve builds both links'
+
+
 def test_feasibility_report_carries_the_ber_bound(receiver, noise_params):
     prob = _problem("known_csi", 26.0, receiver, noise_params)[0]
     p = dirichlet_interior(np.random.default_rng(3), 8)
