@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Distribution, PamConstellation, signed_amplitude_mean
+from .constellation import PamConstellation, as_probs, signed_amplitude_mean
 from .exceptions import ConfigError, DegradedRegimeError, NonConvergenceError
-from .montecarlo import _chunk_rng, _symbol_blocks
+from .montecarlo import _draws, _stderr
 from .validation import check_integer, check_probability_vector
 
 __all__ = [
@@ -104,9 +104,8 @@ class MixtureModel:
 
     @classmethod
     def from_link(cls, c: PamConstellation, p, link) -> "MixtureModel":
-        probs = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
         return cls(means=link.composite_gain * c.amplitudes, sigma=link.sigma,
-                   weights=probs)
+                   weights=as_probs(p))
 
 
 def _standardized(mm: MixtureModel) -> tuple[np.ndarray, np.ndarray]:
@@ -271,15 +270,14 @@ def mixture_entropy(mm: MixtureModel) -> float:
         f"after {_QUAD_MAX_PASSES} passes")
 
 
-def entropy_mc(mm: MixtureModel, n_samples: int, seed: int = 0,
-               chunk: int = 1_000_000) -> tuple[float, float]:
+def entropy_mc(mm: MixtureModel, n_samples: int, seed: int = 0) -> tuple[float, float]:
     """Sampling estimate of the mixture entropy: mean of -log2 f(y), y ~ f.
 
     Returns (estimate, standard error).  Serves as the independent oracle for
-    the quadrature path.  Samples are drawn ``chunk`` at a time, chunk ``i``
-    from the Monte-Carlo oracles' keyed stream ``_chunk_rng(seed, i)`` and
-    symbol-major as they draw it: one multinomial draw of how many samples
-    each component of nonzero weight gets, then each component's
+    the quadrature path.  The samples come from the Monte-Carlo oracles' one
+    draw loop, ``montecarlo._draws``, chunk ``i`` from the keyed stream
+    ``_chunk_rng(seed, i)`` and symbol-major: one multinomial draw of how many
+    samples each component of nonzero weight gets, then each component's
     ``x ~ N(0, 1)`` offsets in component order, in blocks of at most
     ``_ENTROPY_BLOCK`` so that the ``(reach, block)`` temporaries stay
     cache-sized.  Every sample of a block shares its component k, so
@@ -290,26 +288,22 @@ def entropy_mc(mm: MixtureModel, n_samples: int, seed: int = 0,
     kept exponents can exceed ``_HOME_EXP_MAX``, is evaluated alone by
     :func:`_log2_pdf`.  Each value is within rounding of the exact one and
     depends only on ``(k, x)``, not on the blocking; both sums run over the
-    whole chunk.  ``seed``, ``n_samples`` and ``chunk`` must be integers.
+    whole chunk.  ``seed`` and ``n_samples`` must be integers.
     """
     check_integer("n_samples", n_samples, 1)
-    check_integer("chunk", chunk, 1)
     mu, w = _standardized(mm)
     kernel = _HomeKernel(mu, w)
     total = total_sq = 0.0
-    for index, lo in enumerate(range(0, n_samples, chunk)):
-        rng = _chunk_rng(seed, index)
-        n = min(chunk, n_samples - lo)
-        h = np.empty(n)
+    for size, blocks in _draws(seed, n_samples, w, _ENTROPY_BLOCK):
+        h = np.empty(size)
         at = 0
-        for k, size in _symbol_blocks(rng, w, n, _ENTROPY_BLOCK):
-            kernel(k, rng.standard_normal(size), h[at:at + size])
-            at += size
+        for k, x in blocks:
+            kernel(k, x, h[at:at + x.size])
+            at += x.size
         total += h.sum()
         total_sq += (h * h).sum()
     mean = total / n_samples
-    var = max(total_sq / n_samples - mean**2, 0.0)
-    return mean + math.log2(mm.sigma), math.sqrt(var / n_samples)
+    return mean + math.log2(mm.sigma), _stderr(mean, total_sq / n_samples, n_samples)
 
 
 def channel_capacity(mm: MixtureModel) -> float:
@@ -356,21 +350,20 @@ def secrecy_lb_estimate(p, bob, eve_avg, c: PamConstellation,
     return cap_b - 0.5 * math.log2(1.0 + snr_e)
 
 
-def avg_secrecy_capacity_mc(p, bob, eve_sampler, c: PamConstellation,
-                            n_samples: int) -> tuple[float, float]:
+def avg_secrecy_capacity_mc(p, bob, eve_links, c: PamConstellation
+                            ) -> tuple[float, float]:
     """Monte-Carlo average of the secrecy capacity over eavesdropper positions.
 
-    ``eve_sampler(n)`` must return ``n`` eavesdropper link budgets.  Returns
-    (mean, standard error).  Evaluation/plotting aid only; the optimizer never
-    calls it.
+    ``eve_links`` are the eavesdropper link budgets, one per sampled position
+    (for example from ``montecarlo.sample_eve_positions``).  Returns (mean,
+    standard error).  Evaluation/plotting aid only; the optimizer never calls
+    it.
     """
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
+    if len(eve_links) == 0:
+        raise ConfigError("at least one eavesdropper link is required")
     cap_b = channel_capacity(MixtureModel.from_link(c, p, bob))
-    links = eve_sampler(n_samples)
-    vals = np.empty(len(links))
-    for i, link in enumerate(links):
-        vals[i] = cap_b - channel_capacity(MixtureModel.from_link(c, p, link))
+    vals = np.array([cap_b - channel_capacity(MixtureModel.from_link(c, p, link))
+                     for link in eve_links])
     stderr = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
     return float(vals.mean()), float(stderr)
 

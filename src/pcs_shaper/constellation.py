@@ -23,6 +23,7 @@ from .validation import check_in_interval, check_positive, check_power_of_two, \
 __all__ = [
     "PamConstellation",
     "Distribution",
+    "as_probs",
     "ConstraintSet",
     "build_constellation",
     "symmetry_matrix",
@@ -118,6 +119,11 @@ class Distribution:
         return cls(np.full(m, 1.0 / m))
 
 
+def as_probs(p) -> np.ndarray:
+    """The probability vector of a :class:`Distribution` or an array-like, as float."""
+    return p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     """Reliability + illumination constraints attached to a design problem.
@@ -154,7 +160,7 @@ def symmetry_matrix(order_m: int) -> np.ndarray:
 
 def symmetry_residual(p) -> np.ndarray:
     """S @ p: one residual per mirror pair, all zero iff the distribution is symmetric."""
-    arr = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
+    arr = as_probs(p)
     half = arr.size // 2
     return arr[:half] - arr[::-1][:half]
 
@@ -165,7 +171,7 @@ def signed_amplitude_mean(constellation: PamConstellation, p) -> float:
     Folding the sum over (m, M-m+1) pairs makes the result exactly zero for a
     symmetric distribution, since mirrored amplitudes are exact negations.
     """
-    arr = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
+    arr = as_probs(p)
     a = constellation.amplitudes
     half = arr.size // 2
     return float(np.dot(a[:half], arr[:half] - arr[::-1][:half]))

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constellation import Distribution, PamConstellation
+from .constellation import PamConstellation, as_probs
 from .exceptions import ConfigError
 from .validation import check_positive
 
@@ -92,14 +92,13 @@ def _erfc_arg(p_m: float, p_n: float, d: float, sigma: float) -> float:
 
 
 def pairwise_error_prob(p_m: float, p_n: float, geom: PairwiseGeometry) -> float:
-    """Probability that the MAP comparison prefers symbol n over transmitted m."""
-    if p_m < 0 or p_n < 0:
-        raise ConfigError("probabilities must be nonnegative")
+    """Probability that the MAP comparison prefers symbol n over transmitted m.
+
+    A probability that is negative, NaN or infinite raises ConfigError.
+    """
+    p_m = check_positive("p_m", p_m, allow_zero=True)
+    p_n = check_positive("p_n", p_n, allow_zero=True)
     return 0.5 * math.erfc(_erfc_arg(p_m, p_n, geom.d, geom.sigma))
-
-
-def _as_probs(p) -> np.ndarray:
-    return p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
 
 
 @lru_cache(maxsize=32)
@@ -133,7 +132,7 @@ def _pair_sum(c: PamConstellation, p, link, adjacent: bool, grad: bool):
     the direct term and the pull through ln p_m land on m, the pull through
     ln p_n lands on n.  The gradient requires an interior point.
     """
-    probs = _as_probs(p)
+    probs = as_probs(p)
     lowest = probs.min()
     if grad and lowest < ACTIVE_SUPPORT_FLOOR:
         raise ConfigError(

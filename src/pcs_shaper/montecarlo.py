@@ -1,7 +1,9 @@
 """Ground-truth Monte-Carlo simulation: MAP detection, empirical SER/BER, and
 eavesdropper position sampling.
 
-Each chunk of symbols comes from its own SFC64 generator, seeded through
+The oracles that draw noise (the SER/BER simulation, ``pairwise_error_mc``
+and ``capacity.entropy_mc``) draw it through one loop, ``_draws``.  Each
+chunk of symbols comes from its own SFC64 generator, seeded through
 ``SeedSequence(seed, spawn_key=(chunk_index,))``, and the chunk partition
 depends on the symbol count alone, so the counts are a function of the seed
 and the symbol count.  SFC64 draws normals about a quarter faster than
@@ -12,14 +14,16 @@ zero-probability symbol is never sent), then, symbol by symbol in support
 order, that symbol's noise.  The counts of i.i.d. categorical draws are
 multinomial and the noise does not depend on the symbol, so the confusion
 counts have the law of an i.i.d. symbol stream; no per-symbol uniform, symbol
-lookup or gather is needed.
+lookup or gather is needed.  A one-symbol support draws nothing for its
+multinomial, so ``pairwise_error_mc`` reads plain normals from the same loop.
 
 MAP detection is an interval lookup.  With equal noise variance, the metric
 ``ln p_m - (y - r_m)^2 / (2 sigma^2)`` is, up to a term common to all
 symbols, affine in ``y``, so each symbol wins one interval of ``y`` or none.
-The cuts between neighbouring winners are computed once per chunk (O(M)), and
-a sample's interval is the number of cuts strictly below it; an exact tie
-goes to the lower index, as an argmax over the metrics would send it.
+The cuts between neighbouring winners are computed once per simulation
+(O(M)), and a sample's interval is the number of cuts strictly below it; an
+exact tie goes to the lower index, as an argmax over the metrics would send
+it.
 
 The simulation counts instead of looking samples up.  Noise is drawn in
 blocks of at most ``_BLOCK`` samples of one symbol, so that a block stays in
@@ -42,10 +46,10 @@ import numpy as np
 
 from .channel import LambertianLed, LinkBudget, NoiseParams, ReceiverPd, \
     floor_gains, noise_variance
-from .constellation import Distribution, PamConstellation
+from .constellation import Distribution, PamConstellation, as_probs
 from .error_rate import PairwiseGeometry
 from .exceptions import ConfigError
-from .validation import check_integer
+from .validation import check_integer, check_positive
 
 __all__ = [
     "SimConfig",
@@ -65,6 +69,31 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     seed = check_integer("Monte-Carlo seed", seed, 0)
     return np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(seed, spawn_key=(index,))))
+
+
+def _draws(seed: int, n: int, probs: np.ndarray, block: int = _BLOCK
+           ) -> Iterator[tuple[int, Iterator[tuple[int, np.ndarray]]]]:
+    """``n`` symbols of ``probs`` and their noise, chunk by chunk, symbol-major.
+
+    Yields ``(size, blocks)`` for each chunk of the ``_CHUNK`` partition of
+    ``n``.  ``blocks`` draws from the chunk's generator ``_chunk_rng(seed, i)``:
+    first one multinomial draw of how many times each symbol of the support
+    ``flatnonzero(probs)`` is sent, then, symbol by symbol in support order,
+    ``(symbol, z)`` blocks of at most ``block`` standard normals.  The draws
+    continue one stream, so they do not depend on ``block``.
+    """
+    support = np.flatnonzero(probs)
+    weights = probs[support] / probs[support].sum()
+
+    def blocks(rng: np.random.Generator, size: int):
+        counts = rng.multinomial(size, weights)
+        for symbol, count in zip(support.tolist(), counts.tolist()):
+            for lo in range(0, count, block):
+                yield symbol, rng.standard_normal(min(block, count - lo))
+
+    for index, lo in enumerate(range(0, n, _CHUNK)):
+        size = min(_CHUNK, n - lo)
+        yield size, blocks(_chunk_rng(seed, index), size)
 
 
 @dataclass(frozen=True)
@@ -129,99 +158,21 @@ def _decision_intervals(means: np.ndarray, probs: np.ndarray,
     return np.array(winners, dtype=np.intp), np.array(cuts)
 
 
-def _count_below(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Number of ``edges`` strictly below each ``x``.
-
-    For sorted ``edges`` this is ``searchsorted(edges, x, "left")``, computed
-    without branches: one comparison per edge and sample, summed as bytes in
-    the narrowest unsigned type that holds ``edges.size``.  Only ``map_detect``
-    uses it; the simulation counts a block per cut instead, and only at the
-    cuts its noise reaches.
-    """
-    hits = edges[:, None] < x
-    counts = hits.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(edges.size))
-    return counts.astype(np.intp)
-
-
-def map_detect(y, c: PamConstellation, p, link, intervals=None) -> np.ndarray | int:
+def map_detect(y, c: PamConstellation, p, link) -> np.ndarray | int:
     """MAP symbol decision(s): argmax_m ln p_m - (y - r_m)^2 / (2 sigma^2).
 
     Each symbol's decision region is one interval of ``y`` (or empty), and a
     sample's interval is the number of cuts strictly below it.  The cuts are
-    strictly increasing, so this equals ``searchsorted(cuts, y, "left")``: a
+    strictly increasing, so this is ``searchsorted(cuts, y, "left")``: a
     sample exactly on a cut goes to the lower index, as an argmax over the
     metrics sends a tie.  Zero-probability symbols never win.  Accepts a
-    scalar (returns ``int``) or an array of receive samples.  ``intervals``,
-    the ``(winners, cuts)`` of ``_decision_intervals`` for this ``p`` and
-    ``link``, saves rebuilding them on every call.
+    scalar (returns ``int``) or an array of receive samples.
     """
-    if intervals is None:
-        probs = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
-        intervals = _decision_intervals(link.composite_gain * c.amplitudes,
-                                        probs, link.sigma)
-    winners, cuts = intervals
+    winners, cuts = _decision_intervals(link.composite_gain * c.amplitudes,
+                                        as_probs(p), link.sigma)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    decisions = winners[_count_below(cuts, y_arr)]
+    decisions = winners[np.searchsorted(cuts, y_arr, side="left")]
     return int(decisions[0]) if np.isscalar(y) else decisions
-
-
-def _symbol_blocks(rng: np.random.Generator, probs: np.ndarray, n: int,
-                   block: int = _BLOCK) -> Iterator[tuple[int, int]]:
-    """Draw ``n`` symbols from ``probs`` symbol-major, as ``(symbol, size)`` blocks.
-
-    One multinomial draw gives each symbol of the support ``flatnonzero(probs)``
-    its count; the counts are then yielded in support order, in blocks of at
-    most ``block``.  Each caller draws a block's noise from ``rng`` before
-    asking for the next block, so the stream is the multinomial draw followed
-    by the noise of every symbol in support order.
-    """
-    support = np.flatnonzero(probs)
-    counts = rng.multinomial(n, probs[support] / probs[support].sum())
-    for symbol, count in zip(support.tolist(), counts.tolist()):
-        for lo in range(0, count, block):
-            yield symbol, min(block, count - lo)
-
-
-def _simulate_chunk(cfg: SimConfig, index: int, n: int) -> np.ndarray:
-    """Confusion counts of chunk ``index``, ``n`` symbols, walked out from home.
-
-    ``above[j + 1]``, the number of a block's samples above ``cuts[j]``, falls
-    as ``j`` rises, and interval ``i`` holds ``above[i] - above[i + 1]``
-    samples (``above[0]`` is the block size, the last entry 0).  A block of
-    symbol ``s`` starts at ``home[s]``, the interval of its noiseless receive
-    value, and counts cut by cut upward until no sample is above a cut, then
-    downward until every sample is; the cuts it does not visit hold 0 or the
-    block size.  The passes are those of the intervals the block reaches, two
-    at most when no sample leaves home, and never more than M - 1.
-    """
-    rng = _chunk_rng(cfg.seed, index)
-    probs = cfg.distribution.probs
-    sigma = cfg.link.sigma
-    means = cfg.link.composite_gain * cfg.constellation.amplitudes
-    m = cfg.constellation.order_m
-    confusion = np.zeros((m, m), dtype=np.intp)
-    intervals = _decision_intervals(means, probs, sigma)
-    winners, cuts = intervals
-    home = np.searchsorted(winners, map_detect(
-        means, cfg.constellation, probs, cfg.link, intervals)).tolist()
-    cuts = cuts.tolist()
-    for sent, size in _symbol_blocks(rng, probs, n):
-        y = rng.standard_normal(size)
-        y *= sigma
-        y += means[sent]                # the bits of means[sent] + sigma * z
-        start = home[sent]
-        above = np.zeros(len(cuts) + 2, dtype=np.intp)
-        above[:start + 1] = size
-        for j in range(start, len(cuts)):
-            above[j + 1] = np.count_nonzero(y > cuts[j])
-            if not above[j + 1]:
-                break
-        for j in range(start - 1, -1, -1):
-            above[j + 1] = np.count_nonzero(y > cuts[j])
-            if above[j + 1] == size:
-                break
-        confusion[sent, winners] += above[:-1] - above[1:]
-    return confusion
 
 
 def _stderr(mean: float, mean_sq: float, n: int) -> float:
@@ -236,10 +187,40 @@ def simulate_error_rates(cfg: SimConfig) -> ErrorStats:
     Hamming distance between their Gray labels.  Standard errors come from
     the per-symbol error indicator and the per-symbol bit-error count, so a
     symbol error that flips several bits counts as one correlated event.
+
+    A block of symbol ``s`` is counted outward from ``home[s]``, the interval
+    of its noiseless receive value.  ``above[j + 1]`` is the number of its
+    samples above ``cuts[j]``, so interval ``i`` holds ``above[i] -
+    above[i + 1]`` (``above[0]`` is the block size, the last entry 0); the
+    cuts the count does not visit hold 0 or the block size.
     """
     n = cfg.n_symbols
-    confusion = sum(_simulate_chunk(cfg, i, min(_CHUNK, n - i * _CHUNK))
-                    for i in range((n + _CHUNK - 1) // _CHUNK))
+    probs = cfg.distribution.probs
+    sigma = cfg.link.sigma
+    means = cfg.link.composite_gain * cfg.constellation.amplitudes
+    m = cfg.constellation.order_m
+    winners, cuts = _decision_intervals(means, probs, sigma)
+    home = np.searchsorted(winners, map_detect(
+        means, cfg.constellation, probs, cfg.link)).tolist()
+    cuts = cuts.tolist()
+    confusion = np.zeros((m, m), dtype=np.intp)
+    for _, blocks in _draws(cfg.seed, n, probs):
+        for sent, y in blocks:
+            size = y.size
+            y *= sigma
+            y += means[sent]            # the bits of means[sent] + sigma * z
+            start = home[sent]
+            above = np.zeros(len(cuts) + 2, dtype=np.intp)
+            above[:start + 1] = size
+            for j in range(start, len(cuts)):
+                above[j + 1] = np.count_nonzero(y > cuts[j])
+                if not above[j + 1]:
+                    break
+            for j in range(start - 1, -1, -1):
+                above[j + 1] = np.count_nonzero(y > cuts[j])
+                if above[j + 1] == size:
+                    break
+            confusion[sent, winners] += above[:-1] - above[1:]
     k = cfg.constellation.bits_per_symbol
     codes = cfg.constellation.gray_codes
     labels_xor = codes[:, None] ^ codes[None, :]
@@ -291,24 +272,22 @@ def pairwise_error_mc(p_m: float, p_n: float, geom: PairwiseGeometry,
     ``d n <= sigma^2 ln(p_n / p_m) - d^2 / 2``, one comparison of ``z`` per
     sample.  As in the closed form, a competitor with ``p_n = 0`` never wins
     and, otherwise, a symbol with ``p_m = 0`` always loses; neither draws noise.
-    Each chunk's noise is drawn in blocks of ``_BLOCK`` from the chunk's one
-    stream, so the hits are those of drawing the chunk at once.
+    The noise is that of ``_draws`` for a one-symbol support, so the hits are
+    those of drawing each chunk at once.  A probability that is negative, NaN
+    or infinite raises ConfigError.
     """
     check_integer("n_samples", n_samples, 1)
     check_integer("seed", seed, 0)
-    if p_m < 0 or p_n < 0:
-        raise ConfigError("probabilities must be nonnegative")
+    p_m = check_positive("p_m", p_m, allow_zero=True)
+    p_n = check_positive("p_n", p_n, allow_zero=True)
     if p_n == 0 or p_m == 0:
         return (0.0 if p_n == 0 else 1.0), 0.0
     sig, d = geom.sigma, geom.d
     # z-threshold of the half-line; for d < 0 the inequality flips to z >= t
     t = sig * (math.log(p_n) - math.log(p_m)) / d - d / (2.0 * sig)
     hits = 0
-    for idx, lo in enumerate(range(0, n_samples, _CHUNK)):
-        rng = _chunk_rng(seed, idx)
-        n = min(_CHUNK, n_samples - lo)
-        for b in range(0, n, _BLOCK):
-            z = rng.standard_normal(min(_BLOCK, n - b))
+    for _, blocks in _draws(seed, n_samples, np.ones(1)):
+        for _, z in blocks:
             hits += int(np.count_nonzero(z <= t if d > 0 else z >= t))
     est = hits / n_samples
     return est, math.sqrt(est * (1.0 - est) / n_samples)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from pcs_shaper import capacity
+from pcs_shaper import capacity, montecarlo
 from pcs_shaper.capacity import (
     _ENTROPY_BLOCK,
     _REACH_X,
@@ -161,11 +161,12 @@ def test_entropy_matches_sampling_oracle_on_random_mixtures():
         assert abs(h_quad - h_mc) <= 3.0 * se
 
 
-def test_entropy_mc_blocking_is_bit_identical_to_unblocked_evaluation():
+def test_entropy_mc_blocking_is_bit_identical_to_unblocked_evaluation(monkeypatch):
     mm = MixtureModel(means=np.array([-1.0, -0.2, 0.0, 0.7, 1.5]), sigma=0.4,
                       weights=np.array([0.3, 0.1, 0.0, 0.25, 0.35]))
     chunk = 3 * _ENTROPY_BLOCK + 11                 # several blocks, the last partial
     n_samples = 2 * chunk + 5                       # three chunks, the last partial
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
     mu, w = _standardized(mm)
     kernel = _HomeKernel(mu, w)
     total = total_sq = 0.0
@@ -184,7 +185,7 @@ def test_entropy_mc_blocking_is_bit_identical_to_unblocked_evaluation():
     mean = total / n_samples
     want = (mean + math.log2(mm.sigma),
             math.sqrt(max(total_sq / n_samples - mean**2, 0.0) / n_samples))
-    assert entropy_mc(mm, n_samples, seed=19, chunk=chunk) == want
+    assert entropy_mc(mm, n_samples, seed=19) == want
 
 
 def test_home_kernel_values_do_not_depend_on_the_blocking():
@@ -249,7 +250,7 @@ def test_home_kernel_matches_long_double_log_sum_exp(case):
 
 
 @pytest.mark.parametrize("bad", [dict(seed=1.5), dict(seed=True), dict(n_samples=1000.5),
-                                 dict(n_samples=True), dict(chunk=2.5)])
+                                 dict(n_samples=True)])
 def test_entropy_mc_rejects_non_integer_seeds_and_counts(bad):
     mm = MixtureModel(means=np.array([0.0, 1.0]), sigma=0.5, weights=np.array([0.5, 0.5]))
     with pytest.raises(ConfigError, match="integer"):
@@ -466,9 +467,11 @@ def test_avg_secrecy_degenerate_sampler(receiver, noise_params):
     led, bob, eve, _, _ = links_at_dbm(30.0, receiver, noise_params, ratio=10.0)
     c = build_constellation(8, led.peak_amplitude)
     p = np.ones(8) / 8
-    mean, se = avg_secrecy_capacity_mc(p, bob, lambda n: [eve] * n, c, 4)
+    mean, se = avg_secrecy_capacity_mc(p, bob, [eve] * 4, c)
     assert se == 0.0
     assert mean == pytest.approx(secrecy_capacity(p, bob, eve, c), abs=1e-9)
+    with pytest.raises(ConfigError):
+        avg_secrecy_capacity_mc(p, bob, [], c)
 
 
 def test_avg_secrecy_dominates_bound_under_shared_positions(receiver, noise_params):
@@ -478,7 +481,7 @@ def test_avg_secrecy_dominates_bound_under_shared_positions(receiver, noise_para
     p = np.ones(8) / 8
     links = sample_eve_positions(64, "radial_uniform", led, receiver,
                                  noise_params, power, seed=9)
-    mean, se = avg_secrecy_capacity_mc(p, bob, lambda n: links[:n], c, 64)
+    mean, se = avg_secrecy_capacity_mc(p, bob, links, c)
     cap_b = channel_capacity(MixtureModel.from_link(c, p, bob))
     # per-position Gaussian cap on the eavesdropper mutual information
     lb_vals = [cap_b - 0.5 * math.log2(
@@ -493,7 +496,7 @@ def test_avg_secrecy_stderr_scaling(receiver, noise_params):
     p = np.ones(4) / 4
     links = sample_eve_positions(1024, "radial_uniform", led, receiver,
                                  noise_params, power, seed=4)
-    _, se_small = avg_secrecy_capacity_mc(p, bob, lambda n: links[:n], c, 64)
-    _, se_large = avg_secrecy_capacity_mc(p, bob, lambda n: links[:n], c, 1024)
+    _, se_small = avg_secrecy_capacity_mc(p, bob, links[:64], c)
+    _, se_large = avg_secrecy_capacity_mc(p, bob, links, c)
     assert se_large < se_small
     assert se_large == pytest.approx(se_small / 4.0, rel=0.6)

@@ -512,6 +512,19 @@ def test_pairwise_mc_zero_probabilities_follow_closed_form():
         pairwise_error_mc(-0.1, 0.4, geom, 1000)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_pairwise_oracles_reject_non_finite_probabilities(bad, side):
+    # a NaN p_m made the simulation return (0.0, 0.0) and the closed form nan
+    geom = PairwiseGeometry(d=2.0, sigma=1.0)
+    probs = [0.5, 0.5]
+    probs[side] = bad
+    with pytest.raises(ConfigError):
+        pairwise_error_mc(*probs, geom, 1000)
+    with pytest.raises(ConfigError):
+        pairwise_error_prob(*probs, geom)
+
+
 @pytest.mark.parametrize("field, value", [
     ("n_symbols", True), ("n_symbols", 2.5), ("n_symbols", 10.0), ("n_symbols", "10"),
     ("seed", 1.5), ("seed", 1.0), ("seed", False), ("seed", np.float64(3.0)),
