@@ -15,7 +15,8 @@ windows ``[r_m - 10 sigma, r_m + 10 sigma]`` and skip the gaps between them:
   returns the per-component integrals
   ``I_m = -E_{y~N(r_m,sigma^2)}[log2 f(y)]``, from which both the entropy
   ``sum_m p_m I_m`` and its gradient ``I_m - log2(e)`` follow.  The solver
-  uses this path; tests pin it against the adaptive one.
+  uses this path, with Bob's and Eve's tables stacked into one ``(M, N_B +
+  N_E)`` table for known CSI; tests pin it against the adaptive one.
 
 Internally integrals run in noise-standardized coordinates (means/sigma, unit
 variance) with ``log2(sigma)`` added back, so the extreme photocurrent scales
@@ -355,17 +356,16 @@ def avg_secrecy_capacity_mc(p, bob, eve_links, c: PamConstellation
     """Monte-Carlo average of the secrecy capacity over eavesdropper positions.
 
     ``eve_links`` are the eavesdropper link budgets, one per sampled position
-    (for example from ``montecarlo.sample_eve_positions``).  Returns (mean,
-    standard error).  Evaluation/plotting aid only; the optimizer never calls
-    it.
+    (for example from ``montecarlo.sample_eve_positions``), at least two.
+    Returns (mean, standard error).  Evaluation/plotting aid only; the
+    optimizer never calls it.
     """
-    if len(eve_links) == 0:
-        raise ConfigError("at least one eavesdropper link is required")
+    if len(eve_links) < 2:
+        raise ConfigError("a standard error needs at least two eavesdropper links")
     cap_b = channel_capacity(MixtureModel.from_link(c, p, bob))
     vals = np.array([cap_b - channel_capacity(MixtureModel.from_link(c, p, link))
                      for link in eve_links])
-    stderr = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-    return float(vals.mean()), float(stderr)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
 class EntropyGrid:
@@ -380,37 +380,50 @@ class EntropyGrid:
 
     so one table evaluation yields the entropy objective and its gradient
     ``I - log2 e``.  Tail truncation at 10 sigma contributes < 1e-12 bits.
+
+    :meth:`minus` stacks two links' pdf tables, ``(M, N_1 + N_2)``, for one
+    product and one ``log2``; each link keeps its own weighted product (made
+    at the first evaluation), so the values are the one-link grids' bits.
     """
 
     _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+    _terms = None       # per link: its columns, weighted pdf and log2 sigma
 
     def __init__(self, means, sigma: float):
-        means = np.asarray(means, dtype=float)
         if not sigma > 0:
             raise ConfigError("sigma must be > 0")
-        self.sigma = float(sigma)
-        self.mu = means / sigma
-        centres, halves = _entropy_panels(self.mu)
+        mu = np.asarray(means, dtype=float) / sigma
+        centres, halves = _entropy_panels(mu)
         self._y = (centres[:, None] + halves[:, None] * self._GL_NODES).ravel()
         self._w = (halves[:, None] * self._GL_WEIGHTS).ravel()
         # pdf[m, j]: standardized normal density of component m at node j
-        self._pdf = np.exp(-0.5 * (self._y[None, :] - self.mu[:, None]) ** 2) \
+        self._pdf = np.exp(-0.5 * (self._y[None, :] - mu[:, None]) ** 2) \
             / math.sqrt(2.0 * math.pi)
-        self._wpdf = self._pdf * self._w[None, :]
-        self._log_sigma = math.log2(self.sigma)
+        self._log_sigma = math.log2(sigma)
+        self._links = [(slice(None), self._w, self._log_sigma)]
 
-    def component_integrals(self, p) -> np.ndarray:
-        """Vector I with I_m = -integral pdf_m(y) log2 f(y) dy, in bits."""
-        p = np.asarray(p, dtype=float)
-        f = p @ self._pdf
-        log2f = np.log2(f, out=np.zeros_like(f), where=f > 0)
-        return self._log_sigma - self._wpdf @ log2f
+    def minus(self, other: "EntropyGrid") -> "EntropyGrid":
+        """The stack of this one-link grid and ``other``, of entropy ``H - H_other``."""
+        stack, n = object.__new__(EntropyGrid), self._pdf.shape[1]
+        stack._pdf = np.concatenate([self._pdf, other._pdf], axis=1)
+        stack._links = [(slice(0, n), self._w, self._log_sigma),
+                        (slice(n, None), other._w, other._log_sigma)]
+        return stack
+
+    def component_integrals(self, p) -> list[np.ndarray]:
+        """Per link, the vector I with I_m = -integral pdf_m(y) log2 f(y) dy, in bits."""
+        if self._terms is None:
+            self._terms = [(c, self._pdf[:, c] * w, ls) for c, w, ls in self._links]
+        f = np.asarray(p, dtype=float) @ self._pdf
+        log2f = np.log2(f) if f.min() > 0 else np.log2(f, out=np.zeros_like(f), where=f > 0)
+        return [log_sigma - wpdf @ log2f[c] for c, wpdf, log_sigma in self._terms]
 
     def entropy(self, p) -> float:
-        p = np.asarray(p, dtype=float)
-        return float(p @ self.component_integrals(p))
+        return self.entropy_and_gradient(p)[0]
 
     def entropy_and_gradient(self, p) -> tuple[float, np.ndarray]:
-        comps = self.component_integrals(p)
-        p = np.asarray(p, dtype=float)
-        return float(p @ comps), comps - LOG2E
+        """H(p) and its gradient; a stack's are its first link's minus its second's."""
+        (h, g), *rest = [(float(p @ c), c - LOG2E) for c in self.component_integrals(p)]
+        for h_i, g_i in rest:
+            h, g = h - h_i, g - g_i
+        return h, g

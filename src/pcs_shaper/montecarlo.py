@@ -166,11 +166,13 @@ def map_detect(y, c: PamConstellation, p, link) -> np.ndarray | int:
     strictly increasing, so this is ``searchsorted(cuts, y, "left")``: a
     sample exactly on a cut goes to the lower index, as an argmax over the
     metrics sends a tie.  Zero-probability symbols never win.  Accepts a
-    scalar (returns ``int``) or an array of receive samples.
+    scalar (returns ``int``) or an array of receive samples, all finite.
     """
     winners, cuts = _decision_intervals(link.composite_gain * c.amplitudes,
                                         as_probs(p), link.sigma)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    if not np.isfinite(y_arr).all():
+        raise ConfigError("receive samples must be finite")
     decisions = winners[np.searchsorted(cuts, y_arr, side="left")]
     return int(decisions[0]) if np.isscalar(y) else decisions
 

@@ -235,7 +235,7 @@ class _Projector:
         # Gram entries at or below 1e-12 max|g|**2 are rounding
         self.flat = [1e-12 * float(np.abs(row.g).max()) ** 2 for row in self.rows]
         self.last = None        # the last face says nothing about a new row
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(self.rows[k:], k):      # rows below k are unchanged
             least, most = _value_range(row.g, self.rows[0] if i else None)
             if max(row.lo, least) > min(row.hi, most):
                 raise InfeasibleError("constraint set is empty")
@@ -275,7 +275,7 @@ class _Projector:
                     return c, None, None
                 theta[:] = ((k11 * c[0] - k01 * c[1]) / det, (k00 * c[1] - k01 * c[0]) / det) \
                     if regular else np.array(k) @ c / (k00 + k11) ** 2
-        y = v - theta @ self.g
+        y = v - theta @ self.g if bound else v
         return c, theta, y + (1.0 - y @ mask) / n
 
     def _cold(self, v, theta):
@@ -286,12 +286,16 @@ class _Projector:
     def _sides(self, x, theta, sides=None):
         """Next sides: a binding row (default: theta != 0) keeps its side while
         theta has its sign; a free row takes the side of the bound x violates."""
+        theta = theta.tolist()
         if sides is None:
-            sides = tuple(int(t > 0) - int(t < 0) for t in theta.tolist())
+            sides = [(t > 0) - (t < 0) for t in theta]
         r = (self.g @ x).tolist() if not all(sides) else None
-        return tuple((s if t * s > 0 else 0) if s else
-                     1 if r[i] > row.hi + row.tol else -1 if r[i] < row.lo - row.tol else 0
-                     for i, (t, s, row) in enumerate(zip(theta.tolist(), sides, self.rows)))
+        out = []
+        for i, row in enumerate(self.rows):
+            s = sides[i]
+            out.append((s if theta[i] * s > 0 else 0) if s else
+                       1 if r[i] > row.hi + row.tol else -1 if r[i] < row.lo - row.tol else 0)
+        return tuple(out)
 
     def _flat_ascent(self, k: np.ndarray, rho: np.ndarray, sides) -> np.ndarray:
         """On a singular face, rho's part (on the rows with a side) along K's null
@@ -311,7 +315,7 @@ class _Projector:
         if not self.rows:
             return project_to_simplex(v)
         face, sides = self.last or self._cold(v, self.theta)
-        eps = 1e-15 * (1.0 + np.abs(v).max())      # rounding in y
+        eps = 1e-15 * (1.0 + max(map(abs, v.tolist())))      # rounding in y
         seen, walk = set(), None    # walk: None, then () or the direction a pivot keeps
         for step in range(40 * v.size + 100):      # random walks took up to 82 steps
             c, new, y = self._solve(v, face, sides)
@@ -422,16 +426,16 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
     def stop(reason: str):
         return best[0], best[1], "kkt" if kkt_at_best() else reason
 
-    lam = 1.0 / max(np.abs(g).max(), 1.0)
+    lam = 1.0 / max(max(map(abs, g.tolist())), 1.0)
     for _ in range(max_iter):
         # a displacement of a few simplex diameters reaches every face; a
         # short step can drown in the projection's rounding, so retry long
-        g_max = float(np.abs(g).max())
+        g_max = max(map(abs, g.tolist()))
         cap = 4.0 / max(g_max, 1e-12)
         for lam in (min(lam, cap), cap):
             d = project(p + lam * g) - p
             gd = float(g @ d)
-            if gd > 0 and np.abs(d).max() >= _MIN_STEP:
+            if gd > 0 and (d_max := max(map(abs, d.tolist()))) >= _MIN_STEP:
                 break
         else:
             return stop("no_ascent")
@@ -457,7 +461,7 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
             curv = fc - f - alpha * gd
             alpha = min(max(-0.5 * alpha * alpha * gd / curv, 0.1 * alpha), 0.5 * alpha) \
                 if curv < 0 else 0.5 * alpha
-            if alpha * np.abs(d).max() < _MIN_STEP:
+            if alpha * d_max < _MIN_STEP:
                 return stop("no_ascent")
         else:
             return stop("no_ascent")
@@ -521,7 +525,8 @@ def _start_points(m: int, settings: CccpSettings) -> list[np.ndarray]:
 
 
 class _Objective:
-    """Per-variant objective closures over precomputed entropy tables."""
+    """Per-variant objective closures over precomputed entropy tables; for known
+    CSI, Bob's and Eve's stacked by :meth:`EntropyGrid.minus` into one."""
 
     def __init__(self, problem: DesignProblem):
         self.problem = problem
@@ -529,11 +534,11 @@ class _Objective:
         self.c = c
         v = problem.variant
         if v != "qos_max_eve_ber":      # QoS reads only Eve's BER kernels
-            self.grid_b = EntropyGrid(problem.bob_link.composite_gain * c.amplitudes,
-                                      problem.bob_link.sigma)
+            self.grid = EntropyGrid(problem.bob_link.composite_gain * c.amplitudes,
+                                    problem.bob_link.sigma)
         if v == "known_csi":
-            self.grid_e = EntropyGrid(problem.eve_link.composite_gain * c.amplitudes,
-                                      problem.eve_link.sigma)
+            self.grid = self.grid.minus(EntropyGrid(
+                problem.eve_link.composite_gain * c.amplitudes, problem.eve_link.sigma))
             self.const = math.log2(problem.eve_link.sigma / problem.bob_link.sigma)
         elif v.startswith("unknown_csi"):
             eve = problem.eve_avg
@@ -547,13 +552,11 @@ class _Objective:
     def true_value(self, p: np.ndarray) -> float:
         v = self.problem.variant
         if v == "known_csi":
-            hb, _ = self.grid_b.entropy_and_gradient(p)
-            he, _ = self.grid_e.entropy_and_gradient(p)
-            return hb - he + self.const
+            return self.grid.entropy(p) + self.const
         if v == "qos_max_eve_ber":
             return ber_approx(self.c, p, self.problem.eve_link)
         t = signed_amplitude_mean(self.c, p) ** 2
-        cap_b = self.grid_b.entropy(p) + self.cap_b_const
+        cap_b = self.grid.entropy(p) + self.cap_b_const
         return cap_b - 0.5 * math.log2(
             1.0 + self.snr_scale * max(self.c.peak_a**2 - t, 0.0))
 
@@ -562,9 +565,8 @@ class _Objective:
         v = self.problem.variant
         if v == "known_csi":
             def fg(p):
-                hb, gb = self.grid_b.entropy_and_gradient(p)
-                he, ge = self.grid_e.entropy_and_gradient(p)
-                return hb - he + self.const, gb - ge
+                h, g = self.grid.entropy_and_gradient(p)
+                return h + self.const, g
             return fg
         if v == "qos_max_eve_ber":
             def fg(p):
@@ -587,7 +589,7 @@ class _Objective:
         eve_at_tk = -0.5 * math.log2(gap)
 
         def fg(p):
-            h, g = self.grid_b.entropy_and_gradient(p)
+            h, g = self.grid.entropy_and_gradient(p)
             t_lin = -t_k + 2.0 * s_k * float(a @ p)
             val = h + self.cap_b_const + eve_at_tk + lam * (t_lin - t_k)
             return val, g + lam * 2.0 * s_k * a

@@ -268,7 +268,7 @@ def test_criterion_07_small_instance_global_check(receiver, noise_params):
         with np.errstate(divide="ignore"):
             logs = np.where(pdf_grid > 0,
                             np.log2(np.where(pdf_grid > 0, pdf_grid, 1.0)), 0.0)
-        return -((grid @ table._wpdf) * logs).sum(axis=1) + table._log_sigma
+        return -((grid @ (table._pdf * table._w)) * logs).sum(axis=1) + table._log_sigma
 
     h_bob = entropies(gb)
     cs_grid = h_bob - entropies(ge) + math.log2(eve.sigma / bob.sigma)

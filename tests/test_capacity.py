@@ -324,6 +324,34 @@ def test_grid_gradient_matches_finite_differences():
         assert g[i] == pytest.approx(num, rel=1e-5, abs=1e-8)
 
 
+@st.composite
+def _stack_instances(draw):
+    """(M, power in dBm, p): the paper links, p with zero entries."""
+    m = draw(st.sampled_from([2, 4, 8, 16]))
+    power = draw(st.floats(18.0, 36.0))
+    w = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                               min_size=m, max_size=m)))
+    if not w.any():
+        w[draw(st.integers(0, m - 1))] = 1.0
+    return m, power, w / w.sum()
+
+
+@settings(max_examples=60)
+@given(case=_stack_instances())
+@example(case=(2, 30.0, np.array([1.0, 0.0])))   # Bob's f is 0 at far nodes, Eve's is not
+def test_stacked_grid_has_the_bits_of_two_grids(case, receiver, noise_params):
+    m, power, p = case
+    led, bob, eve, _, _ = links_at_dbm(power, receiver, noise_params)
+    a = build_constellation(m, led.peak_amplitude).amplitudes
+    gb = EntropyGrid(bob.composite_gain * a, bob.sigma)
+    ge = EntropyGrid(eve.composite_gain * a, eve.sigma)
+    hb, grad_b = gb.entropy_and_gradient(p)
+    he, grad_e = ge.entropy_and_gradient(p)
+    h, grad = gb.minus(ge).entropy_and_gradient(p)
+    assert h == hb - he
+    assert grad.tolist() == (grad_b - grad_e).tolist()
+
+
 def test_capacity_zero_for_single_symbol(receiver, noise_params):
     _, bob, _, _, _ = links_at_dbm(30.0, receiver, noise_params)
     c = build_constellation(8, 2.0)
@@ -472,6 +500,8 @@ def test_avg_secrecy_degenerate_sampler(receiver, noise_params):
     assert mean == pytest.approx(secrecy_capacity(p, bob, eve, c), abs=1e-9)
     with pytest.raises(ConfigError):
         avg_secrecy_capacity_mc(p, bob, [], c)
+    with pytest.raises(ConfigError):       # one link cannot estimate a spread
+        avg_secrecy_capacity_mc(p, bob, [eve], c)
 
 
 def test_avg_secrecy_dominates_bound_under_shared_positions(receiver, noise_params):

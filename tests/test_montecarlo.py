@@ -45,6 +45,14 @@ def test_map_detect_degenerate_prior_always_wins():
     assert np.all(map_detect(y, c, p, link) == 2)
 
 
+def test_map_detect_rejects_non_finite_samples():
+    c = build_constellation(4, 1.0)
+    link = LinkBudget(composite_gain=1.0, sigma=0.3)
+    for y in (math.nan, np.array([0.1, np.inf]), np.array([-np.inf, 0.0])):
+        with pytest.raises(ConfigError):
+            map_detect(y, c, np.ones(4) / 4, link)
+
+
 def test_map_decisions_satisfy_the_posterior_inequality():
     rng = np.random.default_rng(7)
     c = build_constellation(8, 2.0)
