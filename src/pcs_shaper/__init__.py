@@ -12,7 +12,8 @@ Library layout:
   capacity, average-eavesdropper bounds
 * :mod:`pcs_shaper.solver` - constrained concave maximization and the four
   sequential-linearization design procedures
-* :mod:`pcs_shaper.montecarlo` - MAP-detector simulation and position sampling
+* :mod:`pcs_shaper.montecarlo` - MAP-detector simulation and the pairwise
+  event oracle
 * :mod:`pcs_shaper.cli` - JSON-config experiment harness (``pcs-shaper``)
 """
 from .channel import (
@@ -31,7 +32,6 @@ from .channel import (
 )
 from .capacity import (
     MixtureModel,
-    avg_secrecy_capacity_mc,
     channel_capacity,
     mixture_entropy,
     secrecy_capacity,
@@ -62,8 +62,7 @@ from .exceptions import (
     NonConvergenceError,
     PcsShaperError,
 )
-from .montecarlo import ErrorStats, SimConfig, map_detect, sample_eve_positions, \
-    simulate_error_rates
+from .montecarlo import ErrorStats, SimConfig, map_detect, simulate_error_rates
 from .solver import (
     CccpSettings,
     DesignProblem,

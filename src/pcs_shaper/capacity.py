@@ -50,7 +50,6 @@ __all__ = [
     "channel_capacity",
     "secrecy_capacity",
     "secrecy_lb_estimate",
-    "avg_secrecy_capacity_mc",
     "EntropyGrid",
 ]
 
@@ -327,45 +326,22 @@ def secrecy_capacity(p, bob, eve, c: PamConstellation) -> float:
     return h_b - h_e + math.log2(eve.sigma / bob.sigma)
 
 
-def secrecy_lb_estimate(p, bob, eve_avg, c: PamConstellation,
-                        t: float | None = None) -> float:
+def secrecy_lb_estimate(p, bob, eve_avg, c: PamConstellation) -> float:
     """Tractable secrecy lower-bound estimate against an average eavesdropper.
 
     Bob's exact mixture capacity minus the Gaussian max-entropy cap of the
     average eavesdropper, whose signal variance is bounded through the squared
-    amplitude mean ``t``:
+    amplitude mean ``t = (a^T p)^2`` (Bhatia-Davis):
 
         C_B(p) - 1/2 log2(1 + g_E^2 (A^2 - t) / sigma_E^2),
 
-    with ``g_E`` the average composite gain.  By default ``t = (a^T p)^2``; an
-    explicit surrogate value of ``t`` may be supplied instead (the convex
-    reformulation optimizes over it).
+    with ``g_E`` the average composite gain.
     """
-    if t is None:
-        t = signed_amplitude_mean(c, p) ** 2
+    t = signed_amplitude_mean(c, p) ** 2
     a2 = c.peak_a**2
-    if t > a2 * (1.0 + 1e-12):
-        raise ConfigError(f"t = {t} exceeds A^2 = {a2}")
     cap_b = channel_capacity(MixtureModel.from_link(c, p, bob))
     snr_e = eve_avg.composite_gain**2 * max(a2 - t, 0.0) / eve_avg.sigma**2
     return cap_b - 0.5 * math.log2(1.0 + snr_e)
-
-
-def avg_secrecy_capacity_mc(p, bob, eve_links, c: PamConstellation
-                            ) -> tuple[float, float]:
-    """Monte-Carlo average of the secrecy capacity over eavesdropper positions.
-
-    ``eve_links`` are the eavesdropper link budgets, one per sampled position
-    (for example from ``montecarlo.sample_eve_positions``), at least two.
-    Returns (mean, standard error).  Evaluation/plotting aid only; the
-    optimizer never calls it.
-    """
-    if len(eve_links) < 2:
-        raise ConfigError("a standard error needs at least two eavesdropper links")
-    cap_b = channel_capacity(MixtureModel.from_link(c, p, bob))
-    vals = np.array([cap_b - channel_capacity(MixtureModel.from_link(c, p, link))
-                     for link in eve_links])
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
 class EntropyGrid:

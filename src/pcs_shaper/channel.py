@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .exceptions import ConfigError, NonConvergenceError
+from .exceptions import ConfigError
 from .validation import check_in_interval, check_positive
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "NoiseParams",
     "LinkBudget",
     "channel_gain",
-    "floor_gains",
     "noise_variance",
     "hyp2f1",
     "average_eve_gain",
@@ -161,33 +160,10 @@ def channel_gain(led: LambertianLed, pd: ReceiverPd, geom: LinkGeometry) -> floa
     """
     if geom.incidence_angle > pd.fov:
         return 0.0
-    return _gain_in_fov(led, pd, geom.distance, math.cos(geom.irradiance_angle),
-                        math.cos(geom.incidence_angle))
-
-
-def _gain_in_fov(led: LambertianLed, pd: ReceiverPd, distance, cos_irradiance,
-                 cos_incidence):
-    """:func:`channel_gain` inside the field of view, on floats or arrays."""
     l_order = led.lambert_order
-    radiant = (l_order + 1.0) / (2.0 * math.pi) * cos_irradiance ** l_order
-    return (pd.area / distance**2) * radiant * pd.filter_gain \
-        * pd.concentrator_gain(0.0) * cos_incidence
-
-
-def floor_gains(led: LambertianLed, pd: ReceiverPd, radial_offsets) -> np.ndarray:
-    """:func:`channel_gain` of receivers on the floor plane, ``radial_offsets``
-    meters off nadir (:meth:`LinkGeometry.below_led`), as one array.
-
-    Angles and distances come from ``math``, as in ``below_led``: numpy's
-    ``arctan2`` and ``hypot`` differ from them in the last bit, and the
-    cosines multiply an angle's rounding by up to ``tan(FoV)``.  Each gain
-    then agrees with ``channel_gain`` within 1e-15 relative.
-    """
-    offsets = np.asarray(radial_offsets, dtype=float).tolist()
-    ang = np.array([math.atan2(r, led.height) for r in offsets])
-    distance = np.array([math.hypot(led.height, r) for r in offsets])
-    cos_ang = np.cos(ang)
-    return np.where(ang > pd.fov, 0.0, _gain_in_fov(led, pd, distance, cos_ang, cos_ang))
+    radiant = (l_order + 1.0) / (2.0 * math.pi) * math.cos(geom.irradiance_angle) ** l_order
+    return (pd.area / geom.distance**2) * radiant * pd.filter_gain \
+        * pd.concentrator_gain(geom.incidence_angle) * math.cos(geom.incidence_angle)
 
 
 def noise_variance(pd: ReceiverPd, noise: NoiseParams, gain: float,
@@ -270,29 +246,6 @@ def average_eve_gain(led: LambertianLed, pd: ReceiverPd) -> float:
     l_order = led.lambert_order
     f21 = hyp2f1(0.5, (l_order + 3.0) / 2.0, 1.5, -math.tan(pd.fov) ** 2)
     return _eve_gain_prefactor(led, pd) / led.height**2 * f21
-
-
-def average_eve_gain_quadrature(led: LambertianLed, pd: ReceiverPd) -> float:
-    """Direct numerical evaluation of the radial-average integral (oracle path).
-
-    scipy's adaptive ``quad`` is imported here, so that it stays an
-    independent check on :func:`average_eve_gain` without being an import
-    of the package.
-    """
-    from scipy.integrate import quad
-
-    l_order = led.lambert_order
-    big_l = led.height
-    r_max = big_l * math.tan(pd.fov)
-    xi = _eve_gain_prefactor(led, pd)
-
-    def integrand(r):
-        return (big_l**2 + r**2) ** (-(l_order + 3.0) / 2.0)
-
-    val, err = quad(integrand, 0.0, r_max, epsabs=0.0, epsrel=1e-12, limit=200)
-    if err > 1e-9 * abs(val):
-        raise NonConvergenceError("radial-average gain quadrature did not converge")
-    return xi * big_l**l_order / math.tan(pd.fov) * val
 
 
 def link_budget_from_geometry(led: LambertianLed, pd: ReceiverPd, noise: NoiseParams,

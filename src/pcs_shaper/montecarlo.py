@@ -1,5 +1,4 @@
-"""Ground-truth Monte-Carlo simulation: MAP detection, empirical SER/BER, and
-eavesdropper position sampling.
+"""Ground-truth Monte-Carlo simulation: MAP detection and empirical SER/BER.
 
 The oracles that draw noise (the SER/BER simulation, ``pairwise_error_mc``
 and ``capacity.entropy_mc``) draw it through one loop, ``_draws``.  Each
@@ -41,22 +40,23 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import LambertianLed, LinkBudget, NoiseParams, ReceiverPd, \
-    floor_gains, noise_variance
 from .constellation import Distribution, PamConstellation, as_probs
 from .error_rate import PairwiseGeometry
 from .exceptions import ConfigError
 from .validation import check_integer, check_positive
+
+if TYPE_CHECKING:                   # annotation only: no runtime channel import
+    from .channel import LinkBudget
 
 __all__ = [
     "SimConfig",
     "ErrorStats",
     "map_detect",
     "simulate_error_rates",
-    "sample_eve_positions",
     "pairwise_error_mc",
 ]
 
@@ -237,30 +237,6 @@ def simulate_error_rates(cfg: SimConfig) -> ErrorStats:
         confusion_counts=confusion,
         n_symbols=n,
     )
-
-
-def sample_eve_positions(n: int, mode: str, led: LambertianLed, pd: ReceiverPd,
-                         noise: NoiseParams, optical_power: float,
-                         seed: int = 0) -> list[LinkBudget]:
-    """Random eavesdropper link budgets on the receiver plane inside the FoV disc.
-
-    ``radial_uniform`` draws the nadir offset r uniformly on
-    ``[0, L tan(FoV))`` - the density under which the closed-form average gain
-    is exact.  ``area_uniform`` draws positions uniformly over the disc area
-    instead (r ~ sqrt law), which weights large offsets more heavily.
-    """
-    check_integer("n", n, 1)
-    if mode not in ("radial_uniform", "area_uniform"):
-        raise ConfigError(f"unknown sampling mode {mode!r}")
-    rng = _chunk_rng(seed, 0)
-    r_max = led.height * math.tan(pd.fov)
-    u = rng.random(n)
-    radii = r_max * (np.sqrt(u) if mode == "area_uniform" else u)
-    gains = floor_gains(led, pd, radii)
-    sigmas = np.sqrt(noise_variance(pd, noise, gains, optical_power))
-    comps = gains * pd.responsivity_gamma * led.conversion_eta
-    return [LinkBudget(composite_gain=c, sigma=s)
-            for c, s in zip(comps.tolist(), sigmas.tolist())]
 
 
 def pairwise_error_mc(p_m: float, p_n: float, geom: PairwiseGeometry,

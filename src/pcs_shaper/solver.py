@@ -50,6 +50,7 @@ from .error_rate import ACTIVE_SUPPORT_FLOOR, ber_approx, ber_upper_bound, \
     grad_ber_approx, grad_ber_upper
 from .exceptions import ConfigError, DegradedRegimeError, InfeasibleError, \
     NonConvergenceError
+from .validation import check_integer
 
 __all__ = [
     "VARIANTS",
@@ -90,11 +91,11 @@ class CccpSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.n_starts < 1:
-            raise ConfigError("max_iters and n_starts must be >= 1")
+        check_integer("max_iters", self.max_iters, 1)
+        check_integer("n_starts", self.n_starts, 1)
         if not self.rel_tol > 0:
             raise ConfigError("rel_tol must be > 0")
-        if not 0 <= self.seed < 2**64:
+        if check_integer("seed", self.seed, 0) >= 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
@@ -478,9 +479,7 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
     return stop("iter_cap")
 
 
-def inner_solve(objective, n: int, rows=(), symmetric: bool = False,
-                x0: np.ndarray | None = None, kkt_tol: float = _INNER_KKT_TOL,
-                max_iter: int = _INNER_MAX_ITER) -> Distribution:
+def inner_solve(objective, n: int, rows=(), symmetric: bool = False) -> Distribution:
     """Maximize a concave objective over the constrained simplex.
 
     ``objective(p)`` must return ``(value, gradient)``; ``rows`` holds at most
@@ -488,14 +487,14 @@ def inner_solve(objective, n: int, rows=(), symmetric: bool = False,
     be ``-inf``), and ``symmetric`` adds the mirror-symmetry subspace.
     Raises InfeasibleError when the constraint set is empty and
     NonConvergenceError when the KKT residual (unit-step projected-gradient
-    mapping) cannot be driven below ``kkt_tol``.
+    mapping) cannot be driven below ``_INNER_KKT_TOL`` from the uniform start.
     """
     project = _Projector(rows, symmetric)
-    start = np.full(n, 1.0 / n) if x0 is None else np.asarray(x0, dtype=float)
-    p, _, reason = _pg_ascent(objective, project, start, max_iter, kkt_tol)
+    p, _, reason = _pg_ascent(objective, project, np.full(n, 1.0 / n),
+                              _INNER_MAX_ITER, _INNER_KKT_TOL)
     if reason != "kkt":
         raise NonConvergenceError(
-            f"inner solve stopped ({reason}) above the KKT tolerance {kkt_tol}")
+            f"inner solve stopped ({reason}) above the KKT tolerance {_INNER_KKT_TOL}")
     return Distribution(project_to_simplex(p))
 
 

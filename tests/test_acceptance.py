@@ -14,8 +14,7 @@ from scipy.optimize import brentq
 from scipy.special import erfc
 
 from pcs_shaper.capacity import EntropyGrid, GAUSS_ENTROPY_STD, secrecy_capacity
-from pcs_shaper.channel import LinkBudget, average_eve_gain, \
-    average_eve_gain_quadrature, hyp2f1
+from pcs_shaper.channel import LinkBudget, average_eve_gain, hyp2f1
 from pcs_shaper.constellation import ConstraintSet, Distribution, \
     build_constellation, signed_amplitude_mean, symmetry_residual
 from pcs_shaper.error_rate import (
@@ -33,6 +32,7 @@ from pcs_shaper.montecarlo import SimConfig, pairwise_error_mc, simulate_error_r
 from pcs_shaper.solver import CccpSettings, DesignProblem, solve
 
 from conftest import dirichlet_interior, links_at_dbm
+from oracles import average_eve_gain_quadrature
 
 THRESHOLD = 3.8e-3
 ALPHA = 0.01

@@ -16,7 +16,6 @@ from pcs_shaper.capacity import (
     _entropy_panels,
     _log2_pdf,
     _standardized,
-    avg_secrecy_capacity_mc,
     channel_capacity,
     entropy_mc,
     mixture_entropy,
@@ -29,6 +28,7 @@ from pcs_shaper.exceptions import ConfigError, DegradedRegimeError, NonConvergen
 from pcs_shaper.montecarlo import _chunk_rng
 
 from conftest import dirichlet_interior, links_at_dbm
+from oracles import avg_secrecy_capacity_mc, sample_eve_positions
 
 # frozen after the first quadrature evaluation; cross-checked below by sampling
 CS_UNIFORM_8PAM_30DBM_GOLDEN = 1.6354734688730665
@@ -452,22 +452,6 @@ def test_lb_estimate_symmetric_distribution(receiver, noise_params):
     assert got == pytest.approx(cap_b - eve_term, abs=1e-9)
 
 
-def test_lb_estimate_at_full_t_is_bob_capacity(receiver, noise_params):
-    led, bob, _, eve_avg, _ = links_at_dbm(28.0, receiver, noise_params)
-    c = build_constellation(8, led.peak_amplitude)
-    p = np.ones(8) / 8
-    got = secrecy_lb_estimate(p, bob, eve_avg, c, t=c.peak_a**2)
-    assert got == pytest.approx(
-        channel_capacity(MixtureModel.from_link(c, p, bob)), abs=1e-9)
-
-
-def test_lb_estimate_rejects_oversized_t(receiver, noise_params):
-    led, bob, _, eve_avg, _ = links_at_dbm(28.0, receiver, noise_params)
-    c = build_constellation(8, led.peak_amplitude)
-    with pytest.raises(ConfigError):
-        secrecy_lb_estimate(np.ones(8) / 8, bob, eve_avg, c, t=2 * c.peak_a**2)
-
-
 def test_lb_estimate_is_a_lower_bound(receiver, noise_params):
     rng = np.random.default_rng(97)
     led, bob, _, eve_avg, _ = links_at_dbm(27.0, receiver, noise_params)
@@ -505,12 +489,11 @@ def test_avg_secrecy_degenerate_sampler(receiver, noise_params):
 
 
 def test_avg_secrecy_dominates_bound_under_shared_positions(receiver, noise_params):
-    from pcs_shaper.montecarlo import sample_eve_positions
     led, bob, _, _, power = links_at_dbm(27.0, receiver, noise_params)
     c = build_constellation(8, led.peak_amplitude)
     p = np.ones(8) / 8
-    links = sample_eve_positions(64, "radial_uniform", led, receiver,
-                                 noise_params, power, seed=9)
+    links = list(map(LinkBudget, *sample_eve_positions(64, led, receiver, noise_params,
+                                                       power, seed=9)))
     mean, se = avg_secrecy_capacity_mc(p, bob, links, c)
     cap_b = channel_capacity(MixtureModel.from_link(c, p, bob))
     # per-position Gaussian cap on the eavesdropper mutual information
@@ -520,12 +503,11 @@ def test_avg_secrecy_dominates_bound_under_shared_positions(receiver, noise_para
 
 
 def test_avg_secrecy_stderr_scaling(receiver, noise_params):
-    from pcs_shaper.montecarlo import sample_eve_positions
     led, bob, _, _, power = links_at_dbm(27.0, receiver, noise_params)
     c = build_constellation(4, led.peak_amplitude)
     p = np.ones(4) / 4
-    links = sample_eve_positions(1024, "radial_uniform", led, receiver,
-                                 noise_params, power, seed=4)
+    links = list(map(LinkBudget, *sample_eve_positions(1024, led, receiver, noise_params,
+                                                       power, seed=4)))
     _, se_small = avg_secrecy_capacity_mc(p, bob, links[:64], c)
     _, se_large = avg_secrecy_capacity_mc(p, bob, links, c)
     assert se_large < se_small

@@ -14,7 +14,6 @@ from pcs_shaper.channel import (
     NoiseParams,
     ReceiverPd,
     average_eve_gain,
-    average_eve_gain_quadrature,
     channel_gain,
     hyp2f1,
     link_budget_from_geometry,
@@ -23,6 +22,7 @@ from pcs_shaper.constellation import ConstraintSet
 from pcs_shaper.exceptions import ConfigError
 
 from conftest import led_at_dbm, links_at_dbm
+from oracles import average_eve_gain_quadrature
 
 # independently evaluated with the section-VI setup (receiver at nadir, 3 m)
 H_NADIR_GOLDEN = 9.011944388602973e-06

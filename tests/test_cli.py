@@ -1,4 +1,5 @@
 """CLI harness: config round-trips, CSV artifacts, exit codes, determinism."""
+import ast
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import pcs_shaper
 from pcs_shaper.cli import (
     EXIT_CONFIG,
     EXIT_DEGRADED,
@@ -317,13 +319,30 @@ def test_console_entry_point_runs():
 
 
 def test_import_loads_no_scipy():
-    # scipy serves only the quadrature oracle and the tests; a module-level
-    # import of it would cost most of the package's import time
+    # scipy serves only the tests; a module-level import of it would cost
+    # most of the package's import time
     code = ("import sys, pcs_shaper, pcs_shaper.cli; "
             "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_package_module_imports_scipy():
+    # the package's only runtime dependency is numpy; unlike the subprocess
+    # check above, this also sees imports inside functions, run or not
+    found = []
+    for path in sorted(Path(pcs_shaper.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in modules
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_cli_seed_and_starts_overrides(tmp_path):

@@ -20,11 +20,11 @@ from pcs_shaper.montecarlo import (
     _decision_intervals,
     map_detect,
     pairwise_error_mc,
-    sample_eve_positions,
     simulate_error_rates,
 )
 
 from conftest import dirichlet_interior, led_at_dbm
+from oracles import sample_eve_positions
 
 
 def test_map_detect_uniform_reduces_to_nearest_neighbor():
@@ -408,48 +408,30 @@ def test_radial_uniform_mean_gain_matches_closed_form(receiver, noise_params):
     led = led_at_dbm(27.0)
     power = 10.0 ** ((27.0 - 30.0) / 10.0)
     n = 1_000_000
-    links = sample_eve_positions(n, "radial_uniform", led, receiver,
-                                 noise_params, power, seed=21)
-    gains = np.array([lk.composite_gain for lk in links]) / (0.54 * 0.44)
+    comps, _ = sample_eve_positions(n, led, receiver, noise_params, power, seed=21)
+    gains = comps / (0.54 * 0.44)
     want = average_eve_gain(led, receiver)
     se = gains.std(ddof=1) / math.sqrt(n)
     assert abs(gains.mean() - want) <= 3.0 * se
 
 
-def test_area_uniform_mean_differs_from_radial(receiver, noise_params):
-    led = led_at_dbm(27.0)
-    power = 10.0 ** ((27.0 - 30.0) / 10.0)
-    rad = sample_eve_positions(50_000, "radial_uniform", led, receiver,
-                               noise_params, power, seed=22)
-    area = sample_eve_positions(50_000, "area_uniform", led, receiver,
-                                noise_params, power, seed=22)
-    mean_rad = np.mean([lk.composite_gain for lk in rad])
-    mean_area = np.mean([lk.composite_gain for lk in area])
-    # area weighting favors large offsets, hence a clearly smaller mean gain
-    assert mean_area < 0.8 * mean_rad
-
-
-@pytest.mark.parametrize("mode", ["radial_uniform", "area_uniform"])
-def test_sampled_links_match_the_per_position_link_budget(receiver, noise_params, mode):
+def test_sampled_links_match_the_per_position_link_budget(receiver, noise_params):
     led = led_at_dbm(24.0)
     power = 10.0 ** ((24.0 - 30.0) / 10.0)
-    links = sample_eve_positions(20_000, mode, led, receiver, noise_params,
-                                 power, seed=23)
-    u = _chunk_rng(23, 0).random(len(links))
-    radii = led.height * math.tan(receiver.fov) * (np.sqrt(u) if mode == "area_uniform" else u)
-    for r, link in zip(radii, links):
+    comps, sigmas = sample_eve_positions(20_000, led, receiver, noise_params,
+                                         power, seed=23)
+    radii = led.height * math.tan(receiver.fov) * _chunk_rng(23, 0).random(comps.size)
+    for r, comp, sigma in zip(radii, comps, sigmas):
         want = link_budget_from_geometry(led, receiver, noise_params,
                                          LinkGeometry.below_led(led, float(r)), power)
-        assert link.composite_gain == pytest.approx(want.composite_gain, rel=1e-15, abs=0.0)
-        assert link.sigma == pytest.approx(want.sigma, rel=1e-15, abs=0.0)
+        assert comp == pytest.approx(want.composite_gain, rel=1e-15, abs=0.0)
+        assert sigma == pytest.approx(want.sigma, rel=1e-15, abs=0.0)
 
 
 def test_sampler_validation(receiver, noise_params):
     led = led_at_dbm(27.0)
     with pytest.raises(ConfigError):
-        sample_eve_positions(0, "radial_uniform", led, receiver, noise_params, 0.5)
-    with pytest.raises(ConfigError):
-        sample_eve_positions(5, "diagonal", led, receiver, noise_params, 0.5)
+        sample_eve_positions(0, led, receiver, noise_params, 0.5)
 
 
 @pytest.mark.parametrize("bad", [dict(seed=1.5), dict(seed=True), dict(n_samples=1000.5),
@@ -467,8 +449,8 @@ def test_pairwise_mc_rejects_non_integer_seeds_and_counts(bad):
 @pytest.mark.parametrize("bad", [dict(seed=1.5), dict(seed=False), dict(n=2.5),
                                  dict(n=True)])
 def test_sampler_rejects_non_integer_seeds_and_counts(bad, receiver, noise_params):
-    args = dict(n=5, mode="radial_uniform", led=led_at_dbm(27.0), pd=receiver,
-                noise=noise_params, optical_power=0.5, seed=1)
+    args = dict(n=5, led=led_at_dbm(27.0), pd=receiver, noise=noise_params,
+                optical_power=0.5, seed=1)
     with pytest.raises(ConfigError, match="integer"):
         sample_eve_positions(**{**args, **bad})
 

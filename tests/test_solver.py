@@ -701,8 +701,7 @@ def test_unknown_objective_consistent_with_t_at_bound(receiver, noise_params):
                                           noise_params)
     res = solve(prob, CccpSettings(n_starts=4, seed=7))
     t_opt = signed_amplitude_mean(prob.constellation, res.p_opt.probs) ** 2
-    want = secrecy_lb_estimate(res.p_opt.probs, bob, eve_avg,
-                               prob.constellation, t=t_opt)
+    want = secrecy_lb_estimate(res.p_opt.probs, bob, eve_avg, prob.constellation)
     assert res.objective == pytest.approx(want, abs=1e-6)
     assert t_opt <= prob.constellation.peak_a**2 + 1e-9
 
@@ -758,6 +757,19 @@ def test_problem_validation(receiver, noise_params):
 def test_settings_reject_a_seed_outside_the_start_key_range(seed):
     with pytest.raises(ConfigError):
         CccpSettings(seed=seed)
+
+
+@pytest.mark.parametrize("bad", [dict(seed=1.5), dict(seed=True), dict(n_starts=True),
+                                 dict(n_starts=2.5), dict(max_iters=2.5)])
+def test_settings_reject_non_integer_seeds_and_counts(bad):
+    # unchecked, int() would key seed 1's starts for 1.5 and True, range()
+    # would run one start for True and raise a raw TypeError for 2.5
+    with pytest.raises(ConfigError, match="integer"):
+        CccpSettings(**bad)
+    numpy_ints = CccpSettings(max_iters=np.int32(5), n_starts=np.int64(3),
+                              seed=np.uint64(7))
+    assert np.array_equal(_start_points(4, numpy_ints),
+                          _start_points(4, CccpSettings(max_iters=5, n_starts=3, seed=7)))
 
 
 def test_largest_seed_keys_every_start():
