@@ -7,9 +7,9 @@ competitor n at pairwise distance ``d = h*gamma*eta*(a_m - a_n)`` is
 
 Both bounds are the sum of ``p_m P_{m,n}`` over a set of ordered pairs: every
 ``n != m`` for the union upper bound on the SER, only ``|m - n| = 1`` for the
-closed-form approximation.  One kernel, ``_pair_sum``, evaluates either sum or
-its gradient (the formula is in its docstring); the public bounds and
-gradients differ only in the pair set they pass.  Scaled by the Gray-coding
+closed-form approximation.  One kernel, ``_pair_sum``, evaluates either sum,
+its gradient or its Hessian (the formulas are in its docstring); the public
+bounds and derivatives differ only in the pair set they pass.  Scaled by the Gray-coding
 bit factor, both are concave in the probability vector, which is what the
 sequential linearization in the solver relies on.
 
@@ -45,6 +45,7 @@ __all__ = [
     "ber_approx",
     "grad_ber_upper",
     "grad_ber_approx",
+    "hess_ber_approx",
     "pair_term_value",
     "pair_hessian_block",
 ]
@@ -119,8 +120,9 @@ def _pairs(c: PamConstellation, adjacent: bool):
     return rows, cols, gaps
 
 
-def _pair_sum(c: PamConstellation, p, link, adjacent: bool, grad: bool):
-    """SER sum over ordered pairs (m, n) of p_m P_{m,n}, or its gradient.
+def _pair_sum(c: PamConstellation, p, link, adjacent: bool, order: int):
+    """SER sum over ordered pairs (m, n) of p_m P_{m,n}: its value (``order``
+    0), gradient (1) or Hessian (2).
 
     ``rows``/``cols`` list the pairs (m, n); pairs with a zero probability on
     either side are dropped.  With ``u = u_mn`` the erfc argument above and
@@ -130,13 +132,17 @@ def _pair_sum(c: PamConstellation, p, link, adjacent: bool, grad: bool):
         grad  = bincount(rows, 1/2 erfc(u) - g) + bincount(cols, p_m/p_n * g):
 
     the direct term and the pull through ln p_m land on m, the pull through
-    ln p_n lands on n.  The gradient requires an interior point.
+    ln p_n lands on n.  A term's Hessian is ``p_m g (sigma^2 ln(p_m/p_n) / d^2
+    - 1/2) b b^T``, ``b = e_m / p_m - e_n / p_n``.  Both orders of a pair share
+    ``b b^T`` and ``p_m g``, so their log terms cancel: with ``w = -p_m g / 2``
+    the Hessian is ``B^T diag(w) B``, rounding no cancellation.  The
+    derivatives require an interior point.
     """
     probs = as_probs(p)
     lowest = probs.min()
-    if grad and lowest < ACTIVE_SUPPORT_FLOOR:
+    if order and lowest < ACTIVE_SUPPORT_FLOOR:
         raise ConfigError(
-            f"gradient requires all probabilities >= {ACTIVE_SUPPORT_FLOOR}; "
+            f"derivatives require all probabilities >= {ACTIVE_SUPPORT_FLOOR}; "
             f"clamp the iterate first (min entry {lowest:.3e})")
     m = c.order_m
     rows, cols, gaps = _pairs(c, adjacent)
@@ -149,9 +155,14 @@ def _pair_sum(c: PamConstellation, p, link, adjacent: bool, grad: bool):
     sig = link.sigma
     d = link.composite_gain * gaps
     u = (2.0 * sig**2 * (logp[rows] - logp[cols]) + d * d) / (2.0 * _SQRT2 * sig * d)
-    q = 0.5 * _erfc(u)
     p_rows = probs[rows]
-    if not grad:
+    if order == 2:
+        w = -0.5 * p_rows * sig / math.sqrt(2.0 * math.pi) * np.exp(-u * u) / d
+        scaled = np.eye(m) / probs                  # row j is e_j / p_j
+        b = scaled[rows] - scaled[cols]
+        return (b.T * w) @ b
+    q = 0.5 * _erfc(u)
+    if not order:
         return float(p_rows @ q)
     g = sig / math.sqrt(2.0 * math.pi) * np.exp(-u * u) / d
     return (np.bincount(rows, q - g, minlength=m)
@@ -160,7 +171,7 @@ def _pair_sum(c: PamConstellation, p, link, adjacent: bool, grad: bool):
 
 def ser_upper_bound(c: PamConstellation, p, link) -> float:
     """Union bound sum_m p_m sum_{n != m} P_{m,n}; may exceed 1 at low SNR."""
-    return _pair_sum(c, p, link, adjacent=False, grad=False)
+    return _pair_sum(c, p, link, adjacent=False, order=0)
 
 
 def ber_upper_bound(c: PamConstellation, p, link) -> float:
@@ -170,7 +181,7 @@ def ber_upper_bound(c: PamConstellation, p, link) -> float:
 
 def ser_approx(c: PamConstellation, p, link) -> float:
     """Adjacent-competitor approximation of the SER: sum over |m - n| = 1."""
-    return _pair_sum(c, p, link, adjacent=True, grad=False)
+    return _pair_sum(c, p, link, adjacent=True, order=0)
 
 
 def ber_approx(c: PamConstellation, p, link) -> float:
@@ -180,12 +191,18 @@ def ber_approx(c: PamConstellation, p, link) -> float:
 
 def grad_ber_upper(c: PamConstellation, p, link) -> np.ndarray:
     """Analytic gradient of ber_upper_bound at an interior point."""
-    return _pair_sum(c, p, link, adjacent=False, grad=True) / c.bits_per_symbol
+    return _pair_sum(c, p, link, adjacent=False, order=1) / c.bits_per_symbol
 
 
 def grad_ber_approx(c: PamConstellation, p, link) -> np.ndarray:
     """Analytic gradient of ber_approx (adjacent pairs only), interior points."""
-    return _pair_sum(c, p, link, adjacent=True, grad=True) / c.bits_per_symbol
+    return _pair_sum(c, p, link, adjacent=True, order=1) / c.bits_per_symbol
+
+
+def hess_ber_approx(c: PamConstellation, p, link) -> np.ndarray:
+    """Analytic Hessian of ber_approx at an interior point: half the sum of
+    ``pair_hessian_block`` over the adjacent pairs, over log2(M)."""
+    return _pair_sum(c, p, link, adjacent=True, order=2) / c.bits_per_symbol
 
 
 def pair_term_value(p_m: float, p_n: float, geom: PairwiseGeometry) -> float:

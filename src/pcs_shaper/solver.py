@@ -32,10 +32,17 @@ where that rule cycles.  One projector serves a whole start: each outer
 iteration swaps in its tangent row and keeps the warm multipliers, and the
 spectral steps and the few KKT probes that they cannot rule out share it.
 No external convex-programming solver is involved.
+
+The QoS objective has an exact O(M) Hessian, ``error_rate.hess_ber_approx``,
+so its inner solves also take projected Newton steps on a face the spectral
+steps settle on, and end at KKT where first-order steps crawl to the stall
+stop.  The entropies' Hessians are dense, O(M^2 N) to build, and indefinite
+in known CSI's ``H_b - H_e``, so those objectives take spectral steps only.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -47,10 +54,10 @@ from .channel import LinkBudget
 from .constellation import ConstraintSet, Distribution, PamConstellation, \
     signed_amplitude_mean, symmetry_residual
 from .error_rate import ACTIVE_SUPPORT_FLOOR, ber_approx, ber_upper_bound, \
-    grad_ber_approx, grad_ber_upper
+    grad_ber_approx, grad_ber_upper, hess_ber_approx
 from .exceptions import ConfigError, DegradedRegimeError, InfeasibleError, \
     NonConvergenceError
-from .validation import check_integer
+from .validation import check_integer, check_positive
 
 __all__ = [
     "VARIANTS",
@@ -93,8 +100,9 @@ class CccpSettings:
     def __post_init__(self):
         check_integer("max_iters", self.max_iters, 1)
         check_integer("n_starts", self.n_starts, 1)
-        if not self.rel_tol > 0:
-            raise ConfigError("rel_tol must be > 0")
+        if isinstance(self.rel_tol, bool) or not isinstance(self.rel_tol, numbers.Real):
+            raise ConfigError(f"rel_tol must be a real number, got {self.rel_tol!r}")
+        check_positive("rel_tol", self.rel_tol)
         if check_integer("seed", self.seed, 0) >= 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
 
@@ -387,8 +395,35 @@ def _kkt_residual(p: np.ndarray, g: np.ndarray, project) -> float:
     return float(np.abs(p - project(p + probe)).max())
 
 
+def _newton_step(hessian, p: np.ndarray, g: np.ndarray, project, last) -> np.ndarray | None:
+    """The Newton step on the projector's face ``last``, which holds the sum
+    and each binding row and is 0 off the support S: ``[H_SS A^T; A 0] [d;
+    mu] = [-g_S; 0]``.  None for fewer than two free directions (on one, the
+    spectral step is the secant step), for more runs of adjacent support
+    symbols than rows in A (for adjacent-pair terms homogeneous of degree 1,
+    as in the QoS bound, p on each run spans a null direction of H), for a
+    singular system and for a step not finite or longer than 1 (inf-norm)."""
+    (support, _, n, *_), sides = last
+    k = 1 + sum(map(abs, sides))
+    if n - k < 2 or int(support[0]) + np.count_nonzero(support[1:] > support[:-1]) > k:
+        return None
+    a = np.array([np.ones(n)] + [row.g[support] for row, s in zip(project.rows, sides) if s])
+    system = np.zeros((n + k, n + k))
+    system[:n, :n] = hessian(p)[np.ix_(support, support)]
+    system[n:, :n], system[:n, n:] = a, a.T
+    try:
+        step = np.linalg.solve(system, np.concatenate([-g[support], np.zeros(k)]))[:n]
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.isfinite(step).all() and np.abs(step).max() <= 1.0):
+        return None
+    d = np.zeros(g.size)
+    d[support] = step
+    return d
+
+
 def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
-               kkt_tol: float) -> tuple[np.ndarray, float, str]:
+               kkt_tol: float, hessian=None) -> tuple[np.ndarray, float, str]:
     """Nonmonotone spectral projected-gradient ascent (Birgin-Martinez-Raydan).
 
     Each iteration projects one spectral step, ``d = P(p + lam g) - p``, and
@@ -409,6 +444,16 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
     Programming 39, 1987, Lemma 2.2), so the probe at the iterate, of step
     ``t0 = 1 / max(|g|_inf, 1)``, fails where ``min(1, t0 / lam) |d|_2 /
     sqrt(M)`` exceeds ``2 kkt_tol``.  The probes and steps share ``project``.
+
+    Given ``hessian(p)``, the objective's exact Hessian, an iteration whose
+    spectral step lands on the face (support, by identity, and binding rows)
+    that the projector gave the two steps before first tries the projected
+    Newton step on it (Bertsekas, SIAM J. Control Optim. 20, 1982),
+    :func:`_newton_step` from p, where p is at least ``ACTIVE_SUPPORT_FLOOR``
+    on the support.  It is taken if it clears the Armijo test against f(p)
+    and moves the best point and the GLL and stall memories, not the spectral
+    step.  Else the spectral step is taken, and Newton waits for the face to
+    move; a face whose Newton step is None is not tried again.
     """
     p = project(np.asarray(x0, dtype=float))
     f, g = value_and_grad(p)
@@ -428,6 +473,10 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
         return best[0], best[1], "kkt" if kkt_at_best() else reason
 
     lam = 1.0 / max(max(map(abs, g.tolist())), 1.0)
+    # the last spectral step's face and for how many steps before it the
+    # projector held it; whether Newton failed on it; the faces whose Newton
+    # step came out None
+    last, held, failed, singular = None, 0, False, set()
     for _ in range(max_iter):
         # a displacement of a few simplex diameters reaches every face; a
         # short step can drown in the projection's rounding, so retry long
@@ -440,6 +489,10 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
                 break
         else:
             return stop("no_ascent")
+        if hessian is not None:
+            prev, last = last, project.last
+            same = prev is not None and last[0] is prev[0] and last[1] == prev[1]
+            held, failed = held + 1 if same else 0, failed and same
         # the step's lower bound on the probe's residual is tight up to
         # rounding, so it rules the probe out only with a factor 2 to spare
         if best[0] is p and min(1.0, 1.0 / (max(g_max, 1.0) * lam)) \
@@ -447,29 +500,46 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
             tested = best
         elif kkt_at_best():
             return best[0], best[1], "kkt"
-        floor = min(recent)
-        alpha = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            cand = p + alpha * d
-            fc, gc = value_and_grad(cand)
-            # ties move the best point too: on the plateau that rounding
-            # leaves near the optimum they give the newest point the KKT test
-            if fc >= best[1]:
-                best = (cand, fc, gc)
-            if fc >= floor + _ARMIJO * alpha * gd:
-                break
-            # safeguarded maximizer of the quadratic through f, gd and fc
-            curv = fc - f - alpha * gd
-            alpha = min(max(-0.5 * alpha * alpha * gd / curv, 0.1 * alpha), 0.5 * alpha) \
-                if curv < 0 else 0.5 * alpha
-            if alpha * d_max < _MIN_STEP:
+        newton = False
+        if held >= 2 and not failed:
+            face = (last[0][0].tobytes(), last[1])
+            if face not in singular and p[last[0][0]].min() >= ACTIVE_SUPPORT_FLOOR:
+                step = _newton_step(hessian, p, g, project, last)
+                if step is None:
+                    singular.add(face)
+                else:
+                    cand = project(p + step)
+                    fc, gc = value_and_grad(cand)
+                    if fc >= best[1]:
+                        best = (cand, fc, gc)
+                    rise = float(g @ (cand - p))
+                    newton = rise > 0 and fc >= f + _ARMIJO * rise
+            failed = not newton
+        if not newton:
+            floor = min(recent)
+            alpha = 1.0
+            for _ in range(_MAX_BACKTRACKS):
+                cand = p + alpha * d
+                fc, gc = value_and_grad(cand)
+                # ties move the best point too: on the plateau that rounding
+                # leaves near the optimum they give the newest point the KKT test
+                if fc >= best[1]:
+                    best = (cand, fc, gc)
+                if fc >= floor + _ARMIJO * alpha * gd:
+                    break
+                # safeguarded maximizer of the quadratic through f, gd and fc
+                curv = fc - f - alpha * gd
+                alpha = min(max(-0.5 * alpha * alpha * gd / curv, 0.1 * alpha),
+                            0.5 * alpha) if curv < 0 else 0.5 * alpha
+                if alpha * d_max < _MIN_STEP:
+                    return stop("no_ascent")
+            else:
                 return stop("no_ascent")
-        else:
-            return stop("no_ascent")
-        s = alpha * d
-        sy = float(s @ (gc - g))
-        # spectral (Barzilai-Borwein) step; concave: s.y <= 0
-        lam = max((s @ s) / -sy, _MIN_SPECTRAL) if sy < 0 else 2.0 * alpha * lam
+            s = alpha * d
+            sy = float(s @ (gc - g))
+            # spectral (Barzilai-Borwein) step; concave: s.y <= 0.  A subnormal
+            # s.y overflows the float quotient to inf, which the next cap bounds
+            lam = max(float(s @ s) / -sy, _MIN_SPECTRAL) if sy < 0 else 2.0 * alpha * lam
         p, f, g = cand, fc, gc
         recent.append(f)
         best_history.append(best[1])
@@ -532,6 +602,10 @@ class _Objective:
         c = problem.constellation
         self.c = c
         v = problem.variant
+        # the inner solver's exact Hessian: O(M) and tridiagonal for QoS; the
+        # entropies' are dense and indefinite in known CSI, so they have none
+        self.hessian = (lambda p: hess_ber_approx(c, self.clamp(p), problem.eve_link)) \
+            if v == "qos_max_eve_ber" else None
         if v != "qos_max_eve_ber":      # QoS reads only Eve's BER kernels
             self.grid = EntropyGrid(problem.bob_link.composite_gain * c.amplitudes,
                                     problem.bob_link.sigma)
@@ -645,7 +719,8 @@ def _run_single_start(obj: _Objective, start: np.ndarray, settings: CccpSettings
         margin = 1e-13 * (1.0 + thr)
         project.set_row(len(slab), tangent, -math.inf, thr - margin)
         fg = obj.surrogate(p)
-        p, f, reason = _pg_ascent(fg, project, p, _INNER_MAX_ITER, _INNER_KKT_TOL)
+        p, f, reason = _pg_ascent(fg, project, p, _INNER_MAX_ITER, _INNER_KKT_TOL,
+                                  hessian=obj.hessian)
         inner_stops[reason] += 1
         # the known-CSI surrogate is the objective itself
         trace.append(f if problem.variant == "known_csi" else obj.true_value(p))

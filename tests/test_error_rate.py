@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfc
 
 from pcs_shaper.channel import LinkBudget
@@ -15,6 +15,7 @@ from pcs_shaper.error_rate import (
     ber_upper_bound,
     grad_ber_approx,
     grad_ber_upper,
+    hess_ber_approx,
     pair_hessian_block,
     pair_term_value,
     pairwise_error_prob,
@@ -274,6 +275,60 @@ def test_pair_hessian_closed_form():
                         pts.append(si * sj * pair_term_value(q[0], q[1], geom))
                 fd[i, j] = sum(pts) / (4.0 * h * h)
         assert np.abs(block - fd).max() <= 1e-4 * max(np.abs(block).max(), 1e-10)
+
+
+@st.composite
+def _interior_instances(draw):
+    """M-PAM, a probability vector with every entry at least 1e-3, a link."""
+    m = draw(st.sampled_from([2, 4, 8, 16]))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    total = weights.sum()
+    probs = np.full(m, 1.0 / m) if total == 0.0 else weights / total
+    probs = (1.0 - m * 1e-3) * probs + 1e-3
+    link = LinkBudget(composite_gain=draw(st.floats(0.1, 3.0)),
+                      sigma=draw(st.floats(0.05, 2.0)))
+    return build_constellation(m, 1.0), probs / probs.sum(), link
+
+
+@settings(max_examples=100)
+@given(_interior_instances())
+# Phi's two terms cancel to 1/111 of their size here (kappa = 111)
+@example((build_constellation(2, 1.0), np.array([0.001, 0.999]),
+          LinkBudget(composite_gain=0.125, sigma=1.0)))
+def test_approx_hessian_is_the_pair_block_sum_and_the_gradients_derivative(instance):
+    c, p, link = instance
+    m = c.order_m
+    hess = hess_ber_approx(c, p, link)
+    scale = np.abs(hess).max()
+    assert np.abs(hess - hess.T).max() <= 1e-14 * scale
+    # each unordered neighbour pair's term is half its pair_hessian_block.
+    # The block's Phi adds two terms of opposite sign, each up to
+    # kappa = 1 + sigma^2 |ln(p_m/p_n)| / d^2 times their sum, so its own
+    # rounding grows with kappa; the kernel's weight has no such cancellation
+    blocks, kappa = np.zeros((m, m)), 1.0
+    for k in range(m - 1):
+        d = link.composite_gain * (c.amplitudes[k + 1] - c.amplitudes[k])
+        blocks[k:k + 2, k:k + 2] += pair_hessian_block(p[k], p[k + 1],
+                                                       PairwiseGeometry(d, link.sigma))
+        kappa = max(kappa, 1.0 + link.sigma**2 * abs(math.log(p[k] / p[k + 1])) / d**2)
+    want = 0.5 * blocks / c.bits_per_symbol
+    assert np.abs(hess - want).max() <= 1e-12 * kappa * np.abs(want).max()
+    # central differences of the gradient; rounding in the gradient's O(1)
+    # entries bounds their accuracy where the Hessian is tiny
+    h = 1e-4 * p.min()
+    fd = np.array([(grad_ber_approx(c, p + h * e, link) - grad_ber_approx(c, p - h * e, link))
+                   / (2.0 * h) for e in np.eye(m)])
+    grad = grad_ber_approx(c, p, link)
+    assert np.abs(hess - fd).max() <= 1e-5 * scale + 1e-10 * np.abs(grad).max() / h
+    # the bound is homogeneous of degree 1, so (Euler) H p = 0
+    assert np.abs(hess @ p).max() <= 1e-12 * scale
+
+
+def test_approx_hessian_rejects_boundary_points():
+    c = build_constellation(4, 1.0)
+    link = LinkBudget(composite_gain=1.0, sigma=0.5)
+    with pytest.raises(ConfigError):
+        hess_ber_approx(c, np.array([0.5, 0.5, 0.0, 0.0]), link)
 
 
 def test_first_order_expansion_majorizes():

@@ -1,6 +1,7 @@
 """Inner solver and the four design procedures."""
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.optimize import linprog
 
 from pcs_shaper.capacity import EntropyGrid
 from pcs_shaper.channel import LinkBudget
+from pcs_shaper.cli import default_paper_config, resolve_point
 from pcs_shaper.constellation import ConstraintSet, \
     build_constellation, signed_amplitude_mean, symmetry_residual
 from pcs_shaper.error_rate import ACTIVE_SUPPORT_FLOOR, ber_approx, ber_upper_bound, \
@@ -160,6 +162,19 @@ def test_pg_ascent_returns_the_value_of_the_point_it_returns():
     assert f >= fg(x0)[0]
 
 
+def test_spectral_step_survives_a_subnormal_curvature():
+    # f = p0 - k p1^2 / 2 with k = 1e-308: the step to the vertex [1, 0]
+    # changes the gradient by a subnormal amount, so s.y is subnormal and
+    # s.s / -s.y overflows; the next iteration caps the infinite step
+    k = 1e-308
+
+    def fg(p):
+        return float(p[0] - 0.5 * k * p[1] ** 2), np.array([1.0, -k * p[1]])
+
+    p, f, reason = _pg_ascent(fg, _Projector(), np.full(2, 0.5), 10, 1e-8)
+    assert p.tolist() == [1.0, 0.0] and f == 1.0 and reason == "kkt"
+
+
 @st.composite
 def _concave_quadratics(draw):
     """(Q, c, row): a strongly concave quadratic and a feasible ``g @ p <= hi``."""
@@ -186,6 +201,28 @@ def test_pg_ascent_returns_the_best_value_and_the_optimum_at_kkt(instance):
     m = c_vec.size
     p, f, reason = _pg_ascent(fg, _Projector([row]), np.full(m, 1.0 / m), 3000, 1e-10)
     assert f == max(seen)
+    if reason == "kkt":
+        _, want = qp_oracle_max(q_mat, c_vec, row[0][None, :], np.array([row[2]]))
+        assert np.abs(p - want).max() < 1e-6
+
+
+@settings(max_examples=60)
+@given(_concave_quadratics())
+def test_pg_ascent_with_the_hessian_stops_at_kkt_at_least_as_often(instance):
+    # Newton steps on a settled face land on the face's optimum; they may end
+    # a solve at KKT that first-order steps leave stalled, never the reverse
+    q_mat, c_vec, row = instance
+
+    def fg(p):
+        return float(0.5 * p @ q_mat @ p + c_vec @ p), q_mat @ p + c_vec
+
+    m = c_vec.size
+    x0 = np.full(m, 1.0 / m)
+    _, f_plain, plain = _pg_ascent(fg, _Projector([row]), x0, 3000, 1e-10)
+    p, f, reason = _pg_ascent(fg, _Projector([row]), x0, 3000, 1e-10,
+                              hessian=lambda p: q_mat)
+    assert reason == "kkt" or plain != "kkt"
+    assert f >= f_plain - 1e-9 * max(1.0, abs(f_plain))
     if reason == "kkt":
         _, want = qp_oracle_max(q_mat, c_vec, row[0][None, :], np.array([row[2]]))
         assert np.abs(p - want).max() < 1e-6
@@ -501,12 +538,13 @@ def test_qos_solve_builds_no_entropy_grid(receiver, noise_params, monkeypatch):
     prob = _problem("qos_max_eve_ber", 26.0, receiver, noise_params)[0]
     res = solve(prob, CccpSettings(n_starts=2, seed=0))
     assert builds == []
-    # the design as it was while every solve built Bob's grid
-    want = ["0x0.0p+0", "0x1.cda803a245207p-3", "0x0.0p+0", "0x1.252dc276ffa1bp-2",
-            "0x1.2846b73d9b4dfp-2", "0x0.0p+0", "0x1.97cb55a2d3bf5p-4",
-            "0x1.9712bc4636415p-4"]
+    # the design with Newton steps on settled faces; first-order steps alone
+    # reached 0x1.b59942fc8f933p-4 (0.10683561483981378), 7e-12 lower
+    want = ["0x0.0p+0", "0x1.cda803a1e487cp-3", "0x0.0p+0", "0x1.252dc27bb74bap-2",
+            "0x1.2846b74713c78p-2", "0x0.0p+0", "0x1.97cb557f50cf2p-4",
+            "0x1.9712bc31b9d4ap-4"]
     assert res.p_opt.probs.tolist() == [float.fromhex(h) for h in want]
-    assert res.objective == float.fromhex("0x1.b59942fc8f933p-4")
+    assert res.objective == float.fromhex("0x1.b59942fc9d1e4p-4")
     solve(_problem("known_csi", 26.0, receiver, noise_params)[0],
           CccpSettings(n_starts=1, seed=0))
     assert len(builds) == 2                 # the known-CSI solve builds both links'
@@ -576,6 +614,55 @@ def test_qos_inner_solves_stay_within_an_evaluation_budget(receiver, noise_param
             assert sum(rec["inner_stops"].values()) == rec["iterations"]
 
 
+def _paper_qos_problem(m, power):
+    base = default_paper_config()
+    cfg = replace(base, modulation_order=m, variant="qos_max_eve_ber")
+    return resolve_point(cfg, power).problem
+
+
+@pytest.mark.parametrize("m, power", [(8, 30.0), (8, 32.0), (8, 35.0),
+                                      (16, 32.0), (16, 35.0)])
+def test_qos_inner_solves_end_at_kkt_where_the_ber_row_is_slack(m, power):
+    # first-order steps alone stalled short of KKT in 19 of these 20 solves;
+    # Newton steps on the settled face end every one at KKT
+    res = solve(_paper_qos_problem(m, power), CccpSettings(n_starts=4, seed=2024))
+    for rec in res.per_start:
+        assert rec["feasible"] and set(rec["inner_stops"]) == {"kkt"}, rec
+
+
+def test_wrapped_qos_surrogate_gives_the_same_design(monkeypatch):
+    # a tracer wraps every closure surrogate() returns; the Hessian reaches
+    # the inner solver by its own argument, so Newton steps still run
+    prob = _paper_qos_problem(16, 35.0)
+    settings_ = CccpSettings(n_starts=4, seed=2024)
+    plain = solve(prob, settings_)
+    surrogate = _Objective.surrogate
+    calls = []
+
+    def wrapped(self, p_k):
+        fg = surrogate(self, p_k)
+
+        def counted(p):
+            calls.append(1)
+            return fg(p)
+        return counted
+
+    monkeypatch.setattr(_Objective, "surrogate", wrapped)
+    traced = solve(prob, settings_)
+    assert calls
+    assert traced.p_opt.probs.tobytes() == plain.p_opt.probs.tobytes()
+    assert traced.objective == plain.objective
+    assert traced.per_start == plain.per_start
+    assert all(set(rec["inner_stops"]) == {"kkt"} for rec in traced.per_start)
+
+
+def test_paper_qos_design_at_m16_23_dbm_raises_no_overflow_warning():
+    # a subnormal s.y in the spectral step once warned here (overflow in the
+    # step's quotient), which the suite turns into an error
+    res = solve(_paper_qos_problem(16, 23.0), CccpSettings(n_starts=4, seed=2024))
+    assert res.feasibility["ber_upper_excess"] <= 1e-8
+
+
 def _next_subproblem_rise(obj, p):
     """How much one more inner solve, on the subproblem linearized at the
     design ``p`` (the next outer iteration's), raises the surrogate from p."""
@@ -628,8 +715,8 @@ def test_known_csi_trace_is_the_true_objective_of_each_design(receiver, noise_pa
         surrogates.append(surrogate(self, p_k))
         return surrogates[-1]
 
-    def recorded(value_and_grad, *args):
-        out = _pg_ascent(value_and_grad, *args)
+    def recorded(value_and_grad, *args, **kwargs):
+        out = _pg_ascent(value_and_grad, *args, **kwargs)
         if any(value_and_grad is fg for fg in surrogates):   # not a restoration
             designs.append(out[0])
         return out
@@ -770,6 +857,19 @@ def test_settings_reject_non_integer_seeds_and_counts(bad):
                               seed=np.uint64(7))
     assert np.array_equal(_start_points(4, numpy_ints),
                           _start_points(4, CccpSettings(max_iters=5, n_starts=3, seed=7)))
+
+
+@pytest.mark.parametrize("rel_tol", [math.inf, math.nan, True, "1e-2", 0.0, -1e-2, None])
+def test_settings_reject_a_rel_tol_that_is_not_a_finite_positive_real(rel_tol):
+    # unchecked, inf stopped every start at its first test and a string
+    # raised a raw TypeError
+    with pytest.raises(ConfigError, match="rel_tol"):
+        CccpSettings(rel_tol=rel_tol)
+
+
+def test_settings_take_a_numpy_float_rel_tol():
+    assert CccpSettings(rel_tol=np.float64(1e-3)).rel_tol == 1e-3
+    assert CccpSettings(rel_tol=np.float32(0.5)).rel_tol == 0.5
 
 
 def test_largest_seed_keys_every_start():
