@@ -223,7 +223,10 @@ def pair_hessian_block(p_m: float, p_n: float, geom: PairwiseGeometry) -> np.nda
 
     and the block is (2 Phi / sqrt(pi)) * [[1/p_m^2, -1/(p_m p_n)],
     [-1/(p_m p_n), 1/p_n^2]], which is negative semidefinite because
-    Phi = -alpha p_m e^(-theta_mn^2) <= 0.
+    Phi = -alpha p_m e^(-theta_mn^2) <= 0.  The two lines of Phi cancel to
+    that closed form (``p_n e^(-theta_nm^2) = p_m e^(-theta_mn^2)`` and
+    ``theta_mn + theta_nm = 2 beta = 1 / (2 alpha)``), so it is computed as
+    such: the sum loses digits where ``|ln(p_m/p_n)|`` is large.
     """
     if min(p_m, p_n) <= 0:
         raise ConfigError("Hessian block requires strictly positive probabilities")
@@ -231,10 +234,7 @@ def pair_hessian_block(p_m: float, p_n: float, geom: PairwiseGeometry) -> np.nda
     alpha = sig / (_SQRT2 * d)
     beta = d / (2.0 * _SQRT2 * sig)
     th_mn = alpha * math.log(p_m / p_n) + beta
-    th_nm = alpha * math.log(p_n / p_m) + beta
-    phi = (2.0 * alpha**2 * (p_m * th_mn * math.exp(-th_mn**2)
-                             + p_n * th_nm * math.exp(-th_nm**2))
-           - alpha * (p_m * math.exp(-th_mn**2) + p_n * math.exp(-th_nm**2)))
+    phi = -alpha * p_m * math.exp(-th_mn**2)
     scale = 2.0 * phi / math.sqrt(math.pi)
     return scale * np.array([[1.0 / p_m**2, -1.0 / (p_m * p_n)],
                              [-1.0 / (p_m * p_n), 1.0 / p_n**2]])

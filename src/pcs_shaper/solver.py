@@ -28,10 +28,11 @@ rows ``lo <= g @ p <= hi``: the flicker slab and the current reliability
 tangent.  On a guessed face (support and binding rows) the projection is one
 closed-form solve with an at most 2x2 Gram matrix; a call guesses the last
 call's face and moves by the primal-dual active-set rule, or walks the dual
-where that rule cycles.  One projector serves a whole start: each outer
-iteration swaps in its tangent row and keeps the warm multipliers, and the
-spectral steps and the few KKT probes that they cannot rule out share it.
-No external convex-programming solver is involved.
+from the simplex projection where that rule cycles; the point alone decides
+a tie.  One projector serves a whole start: each outer iteration swaps in
+its tangent row, which the last inner solution meets (Euler's theorem), so
+that point is its own projection; the spectral steps and the few KKT probes
+they cannot rule out share it.  No external convex-programming solver runs.
 
 The QoS objective has an exact O(M) Hessian, ``error_rate.hess_ber_approx``,
 so its inner solves also take projected Newton steps on a face the spectral
@@ -165,6 +166,8 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {p >= 0, sum p = 1} (sort-based, exact)."""
     u = np.sort(v)[::-1]
     cs = np.cumsum(u)
+    if not math.isfinite(cs[-1]):       # the sum is finite exactly when every entry is
+        raise NonConvergenceError("the point to project is not finite")
     j = np.arange(1, v.size + 1)
     rho = np.nonzero(u + (1.0 - cs) / j > 0)[0][-1]
     lam = (1.0 - cs[rho]) / (rho + 1.0)
@@ -210,22 +213,26 @@ class _Projector:
     ``x = max(v - theta @ G + lambda, 0)`` at the rows' KKT multipliers theta.
     On a face (the support S of x and the binding rows, each at the side of
     its theta's sign) theta and x are one closed-form solve, :meth:`_solve`.
-    A call guesses the last call's face (a cold call takes S from the simplex
-    projection at the warm theta) and accepts it when ``y = v - theta @ G +
-    lambda`` is positive exactly on S, each binding theta has its side's sign
-    and each free row holds.  Otherwise the primal-dual active-set rule
-    (Hintermüller, Ito & Kunisch, SIAM J. Optim. 13, 2002) gives the next
-    face: S where y > 0, the rows whose theta has the right sign and the
-    violated rows.  On a repeated or singular face, or after 2M + 4 faces,
-    the call walks the dual from the warm theta instead: each step moves
-    theta toward the top of the dual's quadratic model on the face, up to the
-    first breakpoint (an index entering or leaving S, a theta reaching 0).
+    A cold call (no last face) returns a feasible v as it is, theta = 0, and
+    takes any other v's first face from the simplex projection at the warm
+    theta; a warm call guesses the last call's face.  A face passes when ``y
+    = v - theta @ G + lambda`` is at least -eps on S and at most eps off it
+    (eps is y's rounding), each binding theta has its side's sign (0 frees
+    the row) and each free row holds; an index with y within eps of 0 leaves
+    S if the face without it passes too.  Otherwise the primal-dual
+    active-set rule (Hintermüller, Ito & Kunisch, SIAM J. Optim. 13, 2002)
+    gives the next face: S where y > 0, the rows whose theta has the right
+    sign and the violated rows.  On a repeated or singular face, or after
+    2M + 4 faces, the call walks the dual from theta = 0 on the simplex
+    projection's face: each step moves theta toward the top of the dual's
+    quadratic model on the face, up to the first breakpoint (an index
+    entering or leaving S, a theta reaching 0).  So v alone decides x, save
+    that a warm call may bind a row a feasible v meets, a rounding-size move.
     """
 
     def __init__(self, rows=(), symmetric: bool = False):
         self.symmetric = symmetric
-        self.rows, self.theta = [], np.zeros(0)
-        self.last = None    # (face, sides) of the last call
+        self.rows, self.theta, self.last = [], np.zeros(0), None    # last: (face, sides)
         for k, (g, lo, hi) in enumerate(rows):
             self.set_row(k, g, lo, hi)
 
@@ -323,18 +330,33 @@ class _Projector:
         v = _symmetrize(v) if self.symmetric else np.asarray(v, dtype=float)
         if not self.rows:
             return project_to_simplex(v)
+        total = sum(values := v.tolist())      # finite exactly when every entry is
+        if not math.isfinite(total):
+            raise NonConvergenceError("the point to project is not finite")
+        eps = 1e-15 * (1.0 + max(map(abs, values)))      # rounding in y
+        free = (0,) * len(self.rows)
+        if self.last is None and abs(total - 1.0) <= eps and min(values) >= 0.0 \
+                and self._sides(v, self.theta, free) == free:
+            # a feasible point is its own projection
+            self.theta, self.last = np.zeros(len(free)), (self._gram(v > eps), free)
+            return v
         face, sides = self.last or self._cold(v, self.theta)
-        eps = 1e-15 * (1.0 + max(map(abs, v.tolist())))      # rounding in y
-        seen, walk = set(), None    # walk: None, then () or the direction a pivot keeps
+        seen, walk, accepted = set(), None, None    # walk: None, then () or a pivot's direction
         for step in range(40 * v.size + 100):      # random walks took up to 82 steps
             c, new, y = self._solve(v, face, sides)
             support, mask, n, sign = face[:4]
             if new is not None:
                 x = np.maximum(y * mask, 0.0)
                 hold = self._sides(x, new, sides)
-                if hold == sides and (y * sign).max() <= eps:
-                    self.theta, self.last = new, (face, sides)
-                    return x
+                if hold == sides and max((y * sign).tolist()) <= eps:
+                    if accepted is None and np.count_nonzero(y > eps) < n:
+                        # a tie: the face without it is taken if it passes
+                        accepted, face = (new, (face, sides), x), self._gram(y > eps)
+                        continue
+                    accepted = (new, (face, sides), x)
+            if accepted is not None:
+                self.theta, self.last, x = accepted
+                return x
             if walk is None:
                 seen.add((support.tobytes(), sides))
                 if new is not None and step < 2 * v.size + 4:
@@ -343,7 +365,7 @@ class _Projector:
                         face = self._gram(support) if (support ^ face[0]).any() else face
                         sides = hold
                         continue
-                theta, walk = self.theta, ()
+                theta, walk = np.zeros(len(free)), ()
                 face, sides = self._cold(v, theta)
                 continue
             # walk: from theta toward the top of the dual's quadratic model on

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from pcs_shaper.capacity import EntropyGrid
@@ -15,7 +15,8 @@ from pcs_shaper.constellation import ConstraintSet, \
     build_constellation, signed_amplitude_mean, symmetry_residual
 from pcs_shaper.error_rate import ACTIVE_SUPPORT_FLOOR, ber_approx, ber_upper_bound, \
     grad_ber_approx
-from pcs_shaper.exceptions import ConfigError, DegradedRegimeError, InfeasibleError
+from pcs_shaper.exceptions import ConfigError, DegradedRegimeError, InfeasibleError, \
+    NonConvergenceError
 from pcs_shaper.solver import (
     _FEAS_TOL,
     CccpSettings,
@@ -382,6 +383,50 @@ def test_warm_multipliers_never_change_the_projection(instance):
             assert lo - tol <= g @ got <= hi + tol
 
 
+@settings(max_examples=150)
+@given(st.one_of(_projection_sequences().map(lambda i: (i, False)),
+                 _projection_sequences().map(lambda i: ((i[0][1:], *i[1:]), False)),
+                 _projection_sequences(symmetric=True).map(lambda i: (i, True))))
+# a tie: y = v + lambda is 0 on index 2 within rounding, so the faces with and
+# without it both pass; the last call's face {0, 1} is tried first and a
+# fresh projector's simplex projection gives {0, 1, 2}
+@example(((([np.linspace(-1.0, 1.0, 4), -0.9, 0.9], [np.arange(1.0, 5.0) / 10, -math.inf, 0.5]),
+           1, (np.arange(4.0, 0.0, -1.0) / 10, -math.inf, 0.5),
+           [np.array([0.9, 0.5, 0.2, 0.0])] * 3, [np.array([0.9, 0.5, -0.5, -0.5])] * 3), False))
+# from the swap on, the slab's upper side and the tangent are one hyperplane:
+# the warm projector binds the slab alone, a fresh one both rows
+@example(((([np.eye(6)[5], -0.4, 0.5], [np.eye(6)[5], -math.inf, 0.6]),
+           1, (np.eye(6)[5], -math.inf, 0.5),
+           [np.eye(6)[5] * 100.0] * 2 + [np.eye(6)[5] * 3.0],
+           [np.eye(6)[5] * 100.0] * 2 + [np.eye(6)[5] * 3.0]), False))
+def test_warm_projector_returns_a_fresh_ones_bits(case):
+    # the accepted face is decided by v alone, so a projector that has seen
+    # other points and rows returns a new one's bits.  Where the two rows are
+    # parallel on the face and both meet their bounds, either may bind
+    (rows, swap, new_row, points, others), symmetric = case
+    warm, current = _Projector(rows, symmetric), list(rows)
+    for i, (v, other) in enumerate(zip(points, others)):
+        if i == swap:
+            warm.set_row(len(rows) - 1, *new_row)
+            current[-1] = new_row
+        warm(other)
+        fresh = _Projector(current, symmetric)
+        got, want = warm(v), fresh(v)
+        (face, sides), (fresh_face, fresh_sides) = warm.last, fresh.last
+        assert np.array_equal(face[0], fresh_face[0])
+        if sides != fresh_sides:
+            (k00, k01), (_, k11) = face[5]
+            assert k00 * k11 - k01 ** 2 <= 1e-12 * k00 * k11
+            assert np.abs(got - want).max() <= 1e-15 * (1.0 + np.abs(v).max())
+        else:
+            assert np.array_equal(got, want)
+        # the one exception: a cold projector returns a feasible point as it
+        # is, a warm one solves it on its last face.  A row within its
+        # tolerance of its bound passes bound and free, so the two may differ
+        # by rounding
+        assert np.abs(warm(want) - _Projector(current, symmetric)(want)).max() <= 1e-14
+
+
 @settings(max_examples=200)
 @given(st.one_of(_projection_sequences(scales=(100.0, 1000.0)).map(lambda i: (i, False)),
                  _projection_sequences(scales=(100.0, 1000.0), symmetric=True)
@@ -460,6 +505,25 @@ def test_qos_solve_stays_within_a_projection_budget(receiver, noise_params,
                         lambda w: calls.append(1) or project_to_simplex(w))
     solve(prob, CccpSettings(n_starts=2, seed=2024))
     assert len(calls) <= 2800
+
+
+def test_binding_power_solves_stay_within_a_face_solve_budget(monkeypatch):
+    # the paper sweep's 2-start known-CSI solves where the BER tangent binds.
+    # A projector whose cold calls started from the replaced row's multiplier
+    # and walked the dual from there made 1516 face solves and 101 simplex
+    # projections here; feasible first points and walks from the simplex
+    # projection made 1100 and 10
+    calls = {"face": 0, "simplex": 0}
+    face_solve = _Projector._solve
+    monkeypatch.setattr(_Projector, "_solve", lambda self, *a: calls.__setitem__(
+        "face", calls["face"] + 1) or face_solve(self, *a))
+    monkeypatch.setattr("pcs_shaper.solver.project_to_simplex", lambda w: calls.__setitem__(
+        "simplex", calls["simplex"] + 1) or project_to_simplex(w))
+    cfg = default_paper_config()
+    for power in range(20, 27):
+        solve(resolve_point(cfg, float(power)).problem, CccpSettings(n_starts=2, seed=2024))
+    assert calls["face"] <= 1.1 * 1100
+    assert calls["simplex"] <= 1.1 * 10
 
 
 def test_qos_solve_probes_kkt_only_where_the_step_cannot_rule_it_out(
@@ -894,6 +958,23 @@ def test_project_to_simplex_basics():
         assert x.min() >= 0.0
         assert x.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(project_to_simplex(np.ones(4) / 4), np.ones(4) / 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [0, 3])
+@pytest.mark.parametrize("rows, symmetric", [
+    (None, False), (0, False), (0, True), (1, False), (1, True), (2, False)])
+def test_projection_of_a_non_finite_point_is_a_numerical_failure(bad, index, rows, symmetric):
+    # a NaN gradient inside a solve must end it as NonConvergenceError (exit
+    # code 5), not as an IndexError or a point built from a NaN or infinity;
+    # rows=None is project_to_simplex itself
+    v = np.full(8, 0.1)
+    v[index] = bad
+    slab, tangent = (np.linspace(-1.0, 1.0, 8), -0.1, 0.1), (np.arange(8.0), -math.inf, 3.5)
+    project = project_to_simplex if rows is None else \
+        _Projector([slab, tangent][2 - rows:], symmetric)
+    with pytest.raises(NonConvergenceError):
+        project(v)
 
 
 def test_sixteen_pam_secrecy_gain_at_high_power(receiver, noise_params):
