@@ -214,43 +214,43 @@ class _Projector:
     On a face (the support S of x and the binding rows, each at the side of
     its theta's sign) theta and x are one closed-form solve, :meth:`_solve`.
     A cold call (no last face) returns a feasible v as it is, theta = 0, and
-    takes any other v's first face from the simplex projection at the warm
-    theta; a warm call guesses the last call's face.  A face passes when ``y
-    = v - theta @ G + lambda`` is at least -eps on S and at most eps off it
-    (eps is y's rounding), each binding theta has its side's sign (0 frees
-    the row) and each free row holds; an index with y within eps of 0 leaves
-    S if the face without it passes too.  Otherwise the primal-dual
-    active-set rule (Hintermüller, Ito & Kunisch, SIAM J. Optim. 13, 2002)
-    gives the next face: S where y > 0, the rows whose theta has the right
-    sign and the violated rows.  On a repeated or singular face, or after
-    2M + 4 faces, the call walks the dual from theta = 0 on the simplex
-    projection's face: each step moves theta toward the top of the dual's
-    quadratic model on the face, up to the first breakpoint (an index
-    entering or leaving S, a theta reaching 0).  So v alone decides x, save
-    that a warm call may bind a row a feasible v meets, a rounding-size move.
+    takes any other v's first face from v's simplex projection; a warm call
+    guesses the last call's face.  A face passes when ``y = v - theta @ G +
+    lambda`` is at least -eps on S and at most eps off it (eps is y's
+    rounding), each binding theta has its side's sign (0 frees the row) and
+    each free row holds; an index with y within eps of 0 leaves S if the face
+    without it passes too.  Otherwise the primal-dual active-set rule
+    (Hintermüller, Ito & Kunisch, SIAM J. Optim. 13, 2002) gives the next
+    face: S where y > 0, the rows whose theta has the right sign and the
+    violated rows.  On a repeated or singular face, or after 2M + 4 faces,
+    the call walks the dual from theta = 0 on v's simplex projection's face:
+    each step moves theta toward the top of the dual's quadratic model on the
+    face, up to the first breakpoint (an index entering or leaving S, a theta
+    reaching 0).  No multiplier carries over between calls, so v alone
+    decides x, save that a warm call may bind a row a feasible v meets.
     """
 
     def __init__(self, rows=(), symmetric: bool = False):
         self.symmetric = symmetric
-        self.rows, self.theta, self.last = [], np.zeros(0), None    # last: (face, sides)
+        self.rows, self.last = [], None    # last: (face, sides) of the last call
         for k, (g, lo, hi) in enumerate(rows):
             self.set_row(k, g, lo, hi)
 
     def set_row(self, k: int, g: np.ndarray, lo: float, hi: float) -> None:
-        """Install row k (k == len(rows) appends); a replaced row keeps its multiplier."""
+        """Install row k (k == len(rows) appends)."""
         if k >= 2:
             raise ConfigError("the projection takes at most two constraint rows")
         g = _symmetrize(g) if self.symmetric else np.asarray(g, dtype=float)
         if k == len(self.rows):
             self.rows.append(None)
-            self.theta = np.append(self.theta, 0.0)
         lo, hi = float(lo), float(hi)
         bound = max((abs(b) for b in (lo, hi) if math.isfinite(b)), default=0.0)
         self.rows[k] = _Row(g, lo, hi, _FEAS_TOL * (1.0 + bound))
         self.g = np.array([row.g for row in self.rows])
         # Gram entries at or below 1e-12 max|g|**2 are rounding
         self.flat = [1e-12 * float(np.abs(row.g).max()) ** 2 for row in self.rows]
-        self.last = None        # the last face says nothing about a new row
+        # the last face and multipliers say nothing about a new row
+        self.last, self.theta = None, np.zeros(len(self.rows))
         for i, row in enumerate(self.rows[k:], k):      # rows below k are unchanged
             least, most = _value_range(row.g, self.rows[0] if i else None)
             if max(row.lo, least) > min(row.hi, most):
@@ -294,10 +294,10 @@ class _Projector:
         y = v - theta @ self.g if bound else v
         return c, theta, y + (1.0 - y @ mask) / n
 
-    def _cold(self, v, theta):
-        """The face of the simplex projection at theta and the rows' sides there."""
-        x = project_to_simplex(v - theta @ self.g)
-        return self._gram(x > 0), self._sides(x, theta)
+    def _cold(self, v):
+        """The face of the simplex projection of v and the rows' sides there."""
+        x = project_to_simplex(v)
+        return self._gram(x > 0), self._sides(x, np.zeros(len(self.rows)))
 
     def _sides(self, x, theta, sides=None):
         """Next sides: a binding row (default: theta != 0) keeps its side while
@@ -336,11 +336,12 @@ class _Projector:
         eps = 1e-15 * (1.0 + max(map(abs, values)))      # rounding in y
         free = (0,) * len(self.rows)
         if self.last is None and abs(total - 1.0) <= eps and min(values) >= 0.0 \
-                and self._sides(v, self.theta, free) == free:
+                and self._sides(v, np.zeros(len(free)), free) == free:
             # a feasible point is its own projection
             self.theta, self.last = np.zeros(len(free)), (self._gram(v > eps), free)
             return v
-        face, sides = self.last or self._cold(v, self.theta)
+        cold = None if self.last else self._cold(v)     # a walk starts there too
+        face, sides = self.last or cold
         seen, walk, accepted = set(), None, None    # walk: None, then () or a pivot's direction
         for step in range(40 * v.size + 100):      # random walks took up to 82 steps
             c, new, y = self._solve(v, face, sides)
@@ -366,7 +367,7 @@ class _Projector:
                         sides = hold
                         continue
                 theta, walk = np.zeros(len(free)), ()
-                face, sides = self._cold(v, theta)
+                face, sides = cold or self._cold(v)
                 continue
             # walk: from theta toward the top of the dual's quadratic model on
             # this face (a free row the model would carry below 0 stays at

@@ -308,10 +308,11 @@ def test_approx_hessian_is_the_pair_block_sum_and_the_gradients_derivative(insta
     m = c.order_m
     hess = hess_ber_approx(c, p, link)
     scale = np.abs(hess).max()
-    # below the least normal double (about 2.2e-308) e^(-u^2) underflows, and
-    # of each relative bound only that absolute floor is left
-    tiny = np.finfo(float).tiny
-    assert np.abs(hess - hess.T).max() <= 1e-14 * scale + tiny
+    # where e^(-u^2) underflows the pair weights are subnormal, rounded to the
+    # least subnormal (5e-324) and not relative to their size; the Hessian
+    # scales them by up to 1/p_min^2
+    under = 8.0 * np.nextafter(0.0, 1.0) / p.min() ** 2
+    assert np.abs(hess - hess.T).max() <= 1e-14 * scale + under
     # each unordered neighbour pair's term is half its pair_hessian_block.
     # The block takes Phi in closed form, so neither side cancels and the
     # bound holds flat, also where kappa = 1 + sigma^2 |ln(p_m/p_n)| / d^2,
@@ -322,7 +323,7 @@ def test_approx_hessian_is_the_pair_block_sum_and_the_gradients_derivative(insta
         blocks[k:k + 2, k:k + 2] += pair_hessian_block(p[k], p[k + 1],
                                                        PairwiseGeometry(d, link.sigma))
     want = 0.5 * blocks / c.bits_per_symbol
-    assert np.abs(hess - want).max() <= 1e-12 * np.abs(want).max() + tiny
+    assert np.abs(hess - want).max() <= 1e-12 * np.abs(want).max() + under
     # fourth-order central differences of the gradient (the second-order
     # ones are off by 2.4e-5 of the scale at the low-SNR example above);
     # rounding in the gradient's O(1) entries bounds their accuracy where the
@@ -335,7 +336,7 @@ def test_approx_hessian_is_the_pair_block_sum_and_the_gradients_derivative(insta
     grad = grad_ber_approx(c, p, link)
     assert np.abs(hess - fd).max() <= 1e-5 * scale + 1e-10 * np.abs(grad).max() / h
     # the bound is homogeneous of degree 1, so (Euler) H p = 0
-    assert np.abs(hess @ p).max() <= 1e-12 * scale + tiny
+    assert np.abs(hess @ p).max() <= 1e-12 * scale + under
 
 
 def test_approx_hessian_rejects_boundary_points():
