@@ -41,7 +41,7 @@ import numpy as np
 from .constellation import PamConstellation, as_probs, signed_amplitude_mean
 from .exceptions import ConfigError, DegradedRegimeError, NonConvergenceError
 from .montecarlo import _draws, _stderr
-from .validation import check_integer, check_probability_vector
+from .validation import check_integer, check_positive, check_probability_vector
 
 __all__ = [
     "MixtureModel",
@@ -84,6 +84,13 @@ _REACH_X = 8.5          # |x| the home-relative kernel covers; P(|N(0,1)| > 8.5)
 _HOME_EXP_MAX = 64.0    # largest kept exponent the home-relative kernel evaluates
 
 
+def _finite_means(means) -> np.ndarray:
+    means = np.asarray(means, dtype=float)
+    if not np.isfinite(means).all():
+        raise ConfigError("component means must be finite")
+    return means
+
+
 @dataclass(frozen=True)
 class MixtureModel:
     """Received-signal mixture: component means (A), noise sigma (A), weights."""
@@ -93,10 +100,9 @@ class MixtureModel:
     weights: np.ndarray
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
+        means = _finite_means(self.means)
         w = check_probability_vector(self.weights, size=means.size)
-        if not self.sigma > 0:
-            raise ConfigError("sigma must be > 0")
+        check_positive("sigma", self.sigma)
         if not w.max() > 0:
             raise ConfigError("at least one mixture weight must be positive")
         object.__setattr__(self, "means", means)
@@ -366,9 +372,7 @@ class EntropyGrid:
     _terms = None       # per link: its columns, weighted pdf and log2 sigma
 
     def __init__(self, means, sigma: float):
-        if not sigma > 0:
-            raise ConfigError("sigma must be > 0")
-        mu = np.asarray(means, dtype=float) / sigma
+        mu = _finite_means(means) / check_positive("sigma", sigma)
         centres, halves = _entropy_panels(mu)
         self._y = (centres[:, None] + halves[:, None] * self._GL_NODES).ravel()
         self._w = (halves[:, None] * self._GL_WEIGHTS).ravel()

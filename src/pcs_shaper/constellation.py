@@ -31,6 +31,8 @@ __all__ = [
     "flicker_violation",
 ]
 
+INACTIVE_FLOOR = 1e-6   # probability below which a symbol is reported unused
+
 
 @dataclass(frozen=True, eq=False)
 class PamConstellation:
@@ -105,13 +107,13 @@ class Distribution:
     def size(self) -> int:
         return self.probs.size
 
-    def rendered(self, floor: float = 1e-6) -> np.ndarray:
-        """Probabilities with sub-``floor`` entries rendered as exact zeros.
+    def rendered(self) -> np.ndarray:
+        """Probabilities with entries below ``INACTIVE_FLOOR`` rendered as exact zeros.
 
         Used for CSV / report output only; the stored vector is untouched.
         """
         out = self.probs.copy()
-        out[out < floor] = 0.0
+        out[out < INACTIVE_FLOOR] = 0.0
         return out
 
     @classmethod

@@ -25,14 +25,14 @@ against the least of the last ten accepted values (Grippo-Lampariello-Lucidi),
 a stop when the best value stalls, and an exact projection onto the simplex
 intersected with the mirror-symmetry subspace (symmetric mode) and at most two
 rows ``lo <= g @ p <= hi``: the flicker slab and the current reliability
-tangent.  On a guessed face (support and binding rows) the projection is one
-closed-form solve with an at most 2x2 Gram matrix; a call guesses the last
-call's face and moves by the primal-dual active-set rule, or walks the dual
-from the simplex projection where that rule cycles; the point alone decides
-a tie.  One projector serves a whole start: each outer iteration swaps in
-its tangent row, which the last inner solution meets (Euler's theorem), so
-that point is its own projection; the spectral steps and the few KKT probes
-they cannot rule out share it.  No external convex-programming solver runs.
+tangent.  The projection returns a feasible point as it is and solves any
+other on guessed faces (support and binding rows), each one closed-form solve
+with an at most 2x2 Gram matrix; the point alone decides the answer, save
+where the two rows are parallel on a face.  One projector serves a whole
+start: each outer iteration swaps in its tangent row, which the last inner
+solution meets (Euler's theorem), so that point is its own projection; the
+spectral steps and the few KKT probes that they cannot rule out share it.
+No external convex-programming solver runs.
 
 The QoS objective has an exact O(M) Hessian, ``error_rate.hess_ber_approx``,
 so its inner solves also take projected Newton steps on a face the spectral
@@ -46,13 +46,14 @@ import math
 import numbers
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import le, mul
 from typing import NamedTuple
 
 import numpy as np
 
 from .capacity import EntropyGrid, GAUSS_ENTROPY_STD
 from .channel import LinkBudget
-from .constellation import ConstraintSet, Distribution, PamConstellation, \
+from .constellation import INACTIVE_FLOOR, ConstraintSet, Distribution, PamConstellation, \
     signed_amplitude_mean, symmetry_residual
 from .error_rate import ACTIVE_SUPPORT_FLOOR, ber_approx, ber_upper_bound, \
     grad_ber_approx, grad_ber_upper, hess_ber_approx
@@ -127,8 +128,7 @@ class DesignProblem:
             raise ConfigError(f"variant {self.variant!r} requires eve_avg")
         if self.variant == "unknown_csi_symmetric" and self.constraints.mode != "symmetric":
             raise ConfigError("unknown_csi_symmetric requires constraints.mode='symmetric'")
-        if not self.dc_bias > 0:
-            raise ConfigError("dc_bias must be > 0")
+        check_positive("dc_bias", self.dc_bias)
 
 
 @dataclass
@@ -155,7 +155,7 @@ class SolveResult:
 
     @property
     def inactive_count(self) -> int:
-        return int(np.count_nonzero(self.p_opt.probs < 1e-6))
+        return int(np.count_nonzero(self.p_opt.probs < INACTIVE_FLOOR))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +168,7 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     cs = np.cumsum(u)
     if not math.isfinite(cs[-1]):       # the sum is finite exactly when every entry is
         raise NonConvergenceError("the point to project is not finite")
-    j = np.arange(1, v.size + 1)
-    rho = np.nonzero(u + (1.0 - cs) / j > 0)[0][-1]
+    rho = np.nonzero(u + (1.0 - cs) / np.arange(1, v.size + 1) > 0)[0][-1]
     lam = (1.0 - cs[rho]) / (rho + 1.0)
     return np.maximum(v + lam, 0.0)
 
@@ -209,25 +208,29 @@ class _Projector:
     """Exact projection onto {simplex [∩ mirror subspace] ∩ ``lo <= g @ p <= hi`` rows}.
 
     Symmetric mode pre-symmetrizes the point and the rows (the simplex is
-    invariant under index reversal).  The projection of v is
-    ``x = max(v - theta @ G + lambda, 0)`` at the rows' KKT multipliers theta.
-    On a face (the support S of x and the binding rows, each at the side of
-    its theta's sign) theta and x are one closed-form solve, :meth:`_solve`.
-    A cold call (no last face) returns a feasible v as it is, theta = 0, and
-    takes any other v's first face from v's simplex projection; a warm call
-    guesses the last call's face.  A face passes when ``y = v - theta @ G +
-    lambda`` is at least -eps on S and at most eps off it (eps is y's
-    rounding), each binding theta has its side's sign (0 frees the row) and
-    each free row holds; an index with y within eps of 0 leaves S if the face
-    without it passes too.  Otherwise the primal-dual active-set rule
-    (Hintermüller, Ito & Kunisch, SIAM J. Optim. 13, 2002) gives the next
-    face: S where y > 0, the rows whose theta has the right sign and the
-    violated rows.  On a repeated or singular face, or after 2M + 4 faces,
-    the call walks the dual from theta = 0 on v's simplex projection's face:
-    each step moves theta toward the top of the dual's quadratic model on the
-    face, up to the first breakpoint (an index entering or leaving S, a theta
-    reaching 0).  No multiplier carries over between calls, so v alone
-    decides x, save that a warm call may bind a row a feasible v meets.
+    invariant under index reversal).  Every call returns a feasible v (on the
+    simplex up to eps, each row within its tolerance) as it is, keeping its
+    face guess; a cold call (no last face) guesses v's support, rows free.
+    Else the projection is ``x = max(v - theta @ G + lambda, 0)`` at the
+    rows' KKT multipliers theta; on a face (the support S of x and the
+    binding rows, each at the side of its theta's sign) theta and x are one
+    closed-form solve, :meth:`_solve`.  A cold call takes its first face from
+    v's simplex projection, a warm call the last call's face.  A face passes
+    when ``y = v - theta @ G + lambda`` is at least -eps on S and at most eps
+    off it (eps is y's rounding), each binding theta has its side's sign (0
+    frees the row) and each free row holds.  A passing face is tried again
+    without the indices of S whose y is within eps of 0 and, where the point
+    of the face with every row free meets each bound row, with every row
+    free; that face is taken if it passes too.  Otherwise the primal-dual
+    active-set rule (Hintermüller, Ito & Kunisch, SIAM J. Optim. 13, 2002)
+    gives the next face: S where y > 0, the rows whose theta has the right
+    sign and the violated rows.  On a repeated or singular face, or after
+    2M + 4 faces, the call walks the dual from theta = 0 on v's simplex
+    projection's face: each step moves theta toward the top of the dual's
+    quadratic model on the face, up to the first breakpoint (an index
+    entering or leaving S, a theta reaching 0).  The face guess is the only
+    state kept between calls: it decides how fast x is found, not x, save on
+    a face where the two rows are parallel.
     """
 
     def __init__(self, rows=(), symmetric: bool = False):
@@ -238,19 +241,17 @@ class _Projector:
 
     def set_row(self, k: int, g: np.ndarray, lo: float, hi: float) -> None:
         """Install row k (k == len(rows) appends)."""
-        if k >= 2:
-            raise ConfigError("the projection takes at most two constraint rows")
+        if k > min(len(self.rows), 1):
+            raise ConfigError("the projection takes at most two constraint rows, in order")
         g = _symmetrize(g) if self.symmetric else np.asarray(g, dtype=float)
-        if k == len(self.rows):
-            self.rows.append(None)
         lo, hi = float(lo), float(hi)
         bound = max((abs(b) for b in (lo, hi) if math.isfinite(b)), default=0.0)
-        self.rows[k] = _Row(g, lo, hi, _FEAS_TOL * (1.0 + bound))
+        self.rows[k:k + 1] = [_Row(g, lo, hi, _FEAS_TOL * (1.0 + bound))]
         self.g = np.array([row.g for row in self.rows])
+        self.tols = [row.tol for row in self.rows]
         # Gram entries at or below 1e-12 max|g|**2 are rounding
         self.flat = [1e-12 * float(np.abs(row.g).max()) ** 2 for row in self.rows]
-        # the last face and multipliers say nothing about a new row
-        self.last, self.theta = None, np.zeros(len(self.rows))
+        self.last = None        # the last face says nothing about a new row
         for i, row in enumerate(self.rows[k:], k):      # rows below k are unchanged
             least, most = _value_range(row.g, self.rows[0] if i else None)
             if max(row.lo, least) > min(row.hi, most):
@@ -335,10 +336,10 @@ class _Projector:
             raise NonConvergenceError("the point to project is not finite")
         eps = 1e-15 * (1.0 + max(map(abs, values)))      # rounding in y
         free = (0,) * len(self.rows)
-        if self.last is None and abs(total - 1.0) <= eps and min(values) >= 0.0 \
-                and self._sides(v, np.zeros(len(free)), free) == free:
-            # a feasible point is its own projection
-            self.theta, self.last = np.zeros(len(free)), (self._gram(v > eps), free)
+        if abs(total - 1.0) <= eps and min(values) >= 0.0 \
+                and self._sides(v, np.zeros(len(free))) == free:
+            # a feasible point is its own projection; a warm call keeps its guess
+            self.last = self.last or (self._gram(v > eps), free)
             return v
         cold = None if self.last else self._cold(v)     # a walk starts there too
         face, sides = self.last or cold
@@ -350,13 +351,19 @@ class _Projector:
                 x = np.maximum(y * mask, 0.0)
                 hold = self._sides(x, new, sides)
                 if hold == sides and max((y * sign).tolist()) <= eps:
-                    if accepted is None and np.count_nonzero(y > eps) < n:
-                        # a tie: the face without it is taken if it passes
-                        accepted, face = (new, (face, sides), x), self._gram(y > eps)
+                    # a tie: try the face without the indices whose y is within
+                    # eps of 0, with the bound rows free where the free face's
+                    # point meets them; this face is the answer if that fails
+                    tight = accepted is None and np.count_nonzero(y > eps) < n
+                    loose = accepted is None and any(sides) and all(
+                        map(le, map(mul, sides, c), self.tols))
+                    accepted = ((face, sides), x)
+                    if tight or loose:
+                        face = self._gram(y > eps) if tight else face
+                        sides = free if loose else sides
                         continue
-                    accepted = (new, (face, sides), x)
             if accepted is not None:
-                self.theta, self.last, x = accepted
+                self.last, x = accepted
                 return x
             if walk is None:
                 seen.add((support.tobytes(), sides))
@@ -409,11 +416,8 @@ class _Projector:
 # ---------------------------------------------------------------------------
 
 def _kkt_residual(p: np.ndarray, g: np.ndarray, project) -> float:
-    """Inf-norm displacement of the projected step along the normalized gradient.
-
-    Zero exactly at a stationary point; the gradient is capped to unit inf-norm
-    so the probe point stays near the feasible set.
-    """
+    """Inf-norm displacement of the projected step along the gradient, capped to unit
+    inf-norm so the probe stays near the set; zero exactly at a stationary point."""
     probe = g / max(np.abs(g).max(), 1.0)
     return float(np.abs(p - project(p + probe)).max())
 
@@ -622,8 +626,7 @@ class _Objective:
 
     def __init__(self, problem: DesignProblem):
         self.problem = problem
-        c = problem.constellation
-        self.c = c
+        self.c = c = problem.constellation
         v = problem.variant
         # the inner solver's exact Hessian: O(M) and tridiagonal for QoS; the
         # entropies' are dense and indefinite in known CSI, so they have none
@@ -727,8 +730,7 @@ def _run_single_start(obj: _Objective, start: np.ndarray, settings: CccpSettings
     bound = problem.constraints.flicker_alpha * problem.dc_bias
     slab = [] if symmetric else [(obj.c.amplitudes, -bound, bound)]
     project = _Projector(slab, symmetric)
-    p = project(start)
-    p = _restore_feasibility(obj, project, p)
+    p = _restore_feasibility(obj, project, project(start))
     if p is None:
         return None
     # only the flicker-mode unknown-CSI surrogate moves with its linearization
@@ -739,8 +741,7 @@ def _run_single_start(obj: _Objective, start: np.ndarray, settings: CccpSettings
     stop = "max_iters"
     for k in range(1, settings.max_iters + 1):
         tangent = linearized_ber_constraint(obj.clamp(p), problem.bob_link, obj.c)
-        margin = 1e-13 * (1.0 + thr)
-        project.set_row(len(slab), tangent, -math.inf, thr - margin)
+        project.set_row(len(slab), tangent, -math.inf, thr - 1e-13 * (1.0 + thr))
         fg = obj.surrogate(p)
         p, f, reason = _pg_ascent(fg, project, p, _INNER_MAX_ITER, _INNER_KKT_TOL,
                                   hessian=obj.hessian)
@@ -791,8 +792,7 @@ def solve(problem: DesignProblem, settings: CccpSettings | None = None) -> Solve
         raise DegradedRegimeError(
             "known-CSI design requires bob quality > eve quality")
     obj = _Objective(problem)
-    best = None
-    per_start = []
+    best, per_start = None, []
     for idx, start in enumerate(_start_points(problem.constellation.order_m, settings)):
         outcome = _run_single_start(obj, start, settings)
         if outcome is None:

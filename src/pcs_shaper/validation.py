@@ -42,7 +42,7 @@ def check_in_interval(name: str, value: float, lo: float, hi: float,
     return value
 
 
-def check_probability_vector(p, size: int | None = None, tol: float = PROB_SUM_TOL) -> np.ndarray:
+def check_probability_vector(p, size: int | None = None) -> np.ndarray:
     """Validate a finite vector on the probability simplex and return it as float64."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1:
@@ -51,10 +51,10 @@ def check_probability_vector(p, size: int | None = None, tol: float = PROB_SUM_T
         raise ConfigError(f"probability vector must have length {size}, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError("probability vector contains non-finite entries")
-    if arr.min() < 0 or arr.max() > 1 + tol:
+    if arr.min() < 0 or arr.max() > 1 + PROB_SUM_TOL:
         raise ConfigError("probabilities must lie in [0, 1]")
-    if abs(arr.sum() - 1.0) > tol:
-        raise ConfigError(f"probabilities must sum to 1 within {tol}, got {arr.sum()!r}")
+    if abs(arr.sum() - 1.0) > PROB_SUM_TOL:
+        raise ConfigError(f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {arr.sum()!r}")
     return arr
 
 

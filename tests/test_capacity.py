@@ -259,6 +259,23 @@ def test_entropy_mc_rejects_non_integer_seeds_and_counts(bad):
     assert entropy_mc(mm, np.int64(1000), seed=np.int64(1)) == entropy_mc(mm, 1000, seed=1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda means, sigma: MixtureModel(means, sigma, np.full(len(means), 1.0 / len(means))),
+    EntropyGrid,
+], ids=["mixture", "grid"])
+@pytest.mark.parametrize("means, sigma, match", [
+    ([0.0, 1.0], math.inf, "sigma"),
+    ([0.0, math.nan], 0.5, "finite"),
+    ([math.inf, 1.0], 0.5, "finite"),
+    ([0.0, -math.inf], 0.5, "finite"),
+], ids=["sigma-inf", "mean-nan", "mean-inf", "mean-minus-inf"])
+def test_entropy_inputs_must_be_finite(build, means, sigma, match):
+    # an infinite sigma gave an infinite entropy; a non-finite mean failed
+    # inside the panel layout with a ValueError
+    with pytest.raises(ConfigError, match=match):
+        build(np.array(means), sigma)
+
+
 def test_grid_agrees_with_adaptive_quadrature():
     rng = np.random.default_rng(71)
     for _ in range(20):

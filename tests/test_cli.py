@@ -328,6 +328,16 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_builds_no_quadrature_rule():
+    # the 96-node rule behind channel.hyp2f1 costs an eigen-solve of about
+    # 8 ms that only the unknown-CSI designs need
+    code = ("import pcs_shaper.cli; from pcs_shaper.channel import _legendre_rule; "
+            "print(_legendre_rule.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
 def test_no_package_module_imports_scipy():
     # the package's only runtime dependency is numpy; unlike the subprocess
     # check above, this also sees imports inside functions, run or not
