@@ -293,21 +293,22 @@ def entropy_mc(mm: MixtureModel, n_samples: int, seed: int = 0) -> tuple[float, 
     sample with ``|x| > 8.5`` (probability ~2e-17), or of a component whose
     kept exponents can exceed ``_HOME_EXP_MAX``, is evaluated alone by
     :func:`_log2_pdf`.  Each value is within rounding of the exact one and
-    depends only on ``(k, x)``, not on the blocking; both sums run over the
-    whole chunk.  ``seed`` and ``n_samples`` must be integers.
+    depends only on ``(k, x)``, not on the blocking.  The kernel writes each
+    block into one buffer of ``_ENTROPY_BLOCK`` samples, and the block's sum
+    and sum of squares (squared in place) are added to the totals at once,
+    so nothing of chunk size is allocated.  ``seed`` and ``n_samples`` must
+    be integers.
     """
     check_integer("n_samples", n_samples, 1)
     mu, w = _standardized(mm)
     kernel = _HomeKernel(mu, w)
+    buf = np.empty(_ENTROPY_BLOCK)
     total = total_sq = 0.0
-    for size, blocks in _draws(seed, n_samples, w, _ENTROPY_BLOCK):
-        h = np.empty(size)
-        at = 0
-        for k, x in blocks:
-            kernel(k, x, h[at:at + x.size])
-            at += x.size
+    for k, x in _draws(seed, n_samples, w, _ENTROPY_BLOCK):
+        h = buf[:x.size]
+        kernel(k, x, h)
         total += h.sum()
-        total_sq += (h * h).sum()
+        total_sq += np.multiply(h, h, out=h).sum()
     mean = total / n_samples
     return mean + math.log2(mm.sigma), _stderr(mean, total_sq / n_samples, n_samples)
 

@@ -72,28 +72,23 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _draws(seed: int, n: int, probs: np.ndarray, block: int = _BLOCK
-           ) -> Iterator[tuple[int, Iterator[tuple[int, np.ndarray]]]]:
-    """``n`` symbols of ``probs`` and their noise, chunk by chunk, symbol-major.
+           ) -> Iterator[tuple[int, np.ndarray]]:
+    """``n`` symbols of ``probs`` and their noise, as ``(symbol, z)`` blocks.
 
-    Yields ``(size, blocks)`` for each chunk of the ``_CHUNK`` partition of
-    ``n``.  ``blocks`` draws from the chunk's generator ``_chunk_rng(seed, i)``:
-    first one multinomial draw of how many times each symbol of the support
-    ``flatnonzero(probs)`` is sent, then, symbol by symbol in support order,
-    ``(symbol, z)`` blocks of at most ``block`` standard normals.  The draws
-    continue one stream, so they do not depend on ``block``.
+    Each chunk of the ``_CHUNK`` partition of ``n`` draws from its generator
+    ``_chunk_rng(seed, i)``: first one multinomial draw of how many times each
+    symbol of the support ``flatnonzero(probs)`` is sent, then, symbol by
+    symbol in support order, blocks of at most ``block`` standard normals.
+    The draws continue one stream, so they do not depend on ``block``.
     """
     support = np.flatnonzero(probs)
     weights = probs[support] / probs[support].sum()
-
-    def blocks(rng: np.random.Generator, size: int):
-        counts = rng.multinomial(size, weights)
-        for symbol, count in zip(support.tolist(), counts.tolist()):
-            for lo in range(0, count, block):
-                yield symbol, rng.standard_normal(min(block, count - lo))
-
     for index, lo in enumerate(range(0, n, _CHUNK)):
-        size = min(_CHUNK, n - lo)
-        yield size, blocks(_chunk_rng(seed, index), size)
+        rng = _chunk_rng(seed, index)
+        counts = rng.multinomial(min(_CHUNK, n - lo), weights)
+        for symbol, count in zip(support.tolist(), counts.tolist()):
+            for at in range(0, count, block):
+                yield symbol, rng.standard_normal(min(block, count - at))
 
 
 @dataclass(frozen=True)
@@ -206,23 +201,22 @@ def simulate_error_rates(cfg: SimConfig) -> ErrorStats:
         means, cfg.constellation, probs, cfg.link)).tolist()
     cuts = cuts.tolist()
     confusion = np.zeros((m, m), dtype=np.intp)
-    for _, blocks in _draws(cfg.seed, n, probs):
-        for sent, y in blocks:
-            size = y.size
-            y *= sigma
-            y += means[sent]            # the bits of means[sent] + sigma * z
-            start = home[sent]
-            above = np.zeros(len(cuts) + 2, dtype=np.intp)
-            above[:start + 1] = size
-            for j in range(start, len(cuts)):
-                above[j + 1] = np.count_nonzero(y > cuts[j])
-                if not above[j + 1]:
-                    break
-            for j in range(start - 1, -1, -1):
-                above[j + 1] = np.count_nonzero(y > cuts[j])
-                if above[j + 1] == size:
-                    break
-            confusion[sent, winners] += above[:-1] - above[1:]
+    for sent, y in _draws(cfg.seed, n, probs):
+        size = y.size
+        y *= sigma
+        y += means[sent]                # the bits of means[sent] + sigma * z
+        start = home[sent]
+        above = np.zeros(len(cuts) + 2, dtype=np.intp)
+        above[:start + 1] = size
+        for j in range(start, len(cuts)):
+            above[j + 1] = np.count_nonzero(y > cuts[j])
+            if not above[j + 1]:
+                break
+        for j in range(start - 1, -1, -1):
+            above[j + 1] = np.count_nonzero(y > cuts[j])
+            if above[j + 1] == size:
+                break
+        confusion[sent, winners] += above[:-1] - above[1:]
     k = cfg.constellation.bits_per_symbol
     codes = cfg.constellation.gray_codes
     labels_xor = codes[:, None] ^ codes[None, :]
@@ -264,8 +258,7 @@ def pairwise_error_mc(p_m: float, p_n: float, geom: PairwiseGeometry,
     # z-threshold of the half-line; for d < 0 the inequality flips to z >= t
     t = sig * (math.log(p_n) - math.log(p_m)) / d - d / (2.0 * sig)
     hits = 0
-    for _, blocks in _draws(seed, n_samples, np.ones(1)):
-        for _, z in blocks:
-            hits += int(np.count_nonzero(z <= t if d > 0 else z >= t))
+    for _, z in _draws(seed, n_samples, np.ones(1)):
+        hits += int(np.count_nonzero(z <= t if d > 0 else z >= t))
     est = hits / n_samples
     return est, math.sqrt(est * (1.0 - est) / n_samples)

@@ -229,8 +229,9 @@ class _Projector:
     projection's face: each step moves theta toward the top of the dual's
     quadratic model on the face, up to the first breakpoint (an index
     entering or leaving S, a theta reaching 0).  The face guess is the only
-    state kept between calls: it decides how fast x is found, not x, save on
-    a face where the two rows are parallel.
+    state kept between calls, and :meth:`set_row` keeps it too (its support
+    and sides on the new rows, an appended row free): it decides how fast x
+    is found, not x, save on a face where the two rows are parallel.
     """
 
     def __init__(self, rows=(), symmetric: bool = False):
@@ -251,7 +252,9 @@ class _Projector:
         self.tols = [row.tol for row in self.rows]
         # Gram entries at or below 1e-12 max|g|**2 are rounding
         self.flat = [1e-12 * float(np.abs(row.g).max()) ** 2 for row in self.rows]
-        self.last = None        # the last face says nothing about a new row
+        if self.last:           # the last face's support and sides, an appended row free
+            (support, *_), sides = self.last
+            self.last = self._gram(support), (sides + (0,))[:len(self.rows)]
         for i, row in enumerate(self.rows[k:], k):      # rows below k are unchanged
             least, most = _value_range(row.g, self.rows[0] if i else None)
             if max(row.lo, least) > min(row.hi, most):

@@ -10,10 +10,18 @@ from .exceptions import ConfigError
 PROB_SUM_TOL = 1e-12
 
 
+def _as_float(name: str, value) -> float:
+    """``value`` as a float; ConfigError, naming ``name``, if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def check_positive(name: str, value: float, allow_zero: bool = False) -> float:
     """``value`` as a float; ConfigError unless it is finite and > 0 (>= 0
     with ``allow_zero``)."""
-    value = float(value)
+    value = _as_float(name, value)
     if not (math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
         raise ConfigError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, "
                           f"got {value}")
@@ -32,7 +40,7 @@ def check_integer(name: str, value, minimum: int) -> int:
 
 def check_in_interval(name: str, value: float, lo: float, hi: float,
                       open_lo: bool = False, open_hi: bool = False) -> float:
-    value = float(value)
+    value = _as_float(name, value)
     ok_lo = value > lo if open_lo else value >= lo
     ok_hi = value < hi if open_hi else value <= hi
     if not (ok_lo and ok_hi):

@@ -1,5 +1,6 @@
 """Mixture entropy, capacities, secrecy objectives, and their Monte-Carlo oracles."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,12 +181,34 @@ def test_entropy_mc_blocking_is_bit_identical_to_unblocked_evaluation(monkeypatc
         for k, (start, end) in enumerate(zip(ends - counts, ends)):
             if end > start:                         # each component's samples at once
                 kernel(k, x[start:end], h[start:end])
-        total += h.sum()
-        total_sq += (h * h).sum()
+            # summed over the blocks _draws yields: the run cut into pieces
+            for lo_b in range(start, end, _ENTROPY_BLOCK):
+                block = h[lo_b:min(lo_b + _ENTROPY_BLOCK, end)]
+                total += block.sum()
+                total_sq += (block * block).sum()
     mean = total / n_samples
     want = (mean + math.log2(mm.sigma),
             math.sqrt(max(total_sq / n_samples - mean**2, 0.0) / n_samples))
     assert entropy_mc(mm, n_samples, seed=19) == want
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_entropy_mc_memory_is_block_sized_whatever_the_sample_count(m):
+    # every component within reach of every other: the largest temporaries.
+    # A 1M-sample chunk of float64 is 8 MB, a block of the reach 1 MB at M=16.
+    mm = MixtureModel(means=np.linspace(-1.0, 1.0, m), sigma=0.3,
+                      weights=np.random.default_rng(m).dirichlet(np.ones(m)))
+    entropy_mc(mm, 1000)                            # first-call allocations
+    peaks = []
+    for n_samples in (1_000_000, 3_000_000):
+        tracemalloc.start()
+        try:
+            entropy_mc(mm, n_samples, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 2_000_000
+    assert peaks[1] - peaks[0] < 64 * 1024          # no array grows with the chunks
 
 
 def test_home_kernel_values_do_not_depend_on_the_blocking():

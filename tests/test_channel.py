@@ -18,8 +18,10 @@ from pcs_shaper.channel import (
     hyp2f1,
     link_budget_from_geometry,
 )
-from pcs_shaper.constellation import ConstraintSet
+from pcs_shaper.capacity import MixtureModel
+from pcs_shaper.constellation import ConstraintSet, build_constellation
 from pcs_shaper.exceptions import ConfigError
+from pcs_shaper.solver import DesignProblem
 
 from conftest import led_at_dbm, links_at_dbm
 from oracles import average_eve_gain_quadrature
@@ -243,6 +245,29 @@ def test_zero_allowed_fields_reject_non_finite_values(field, value):
     _ZERO_ALLOWED[field](0.0)
     with pytest.raises(ConfigError):
         _ZERO_ALLOWED[field](value)
+
+
+# a field that check_positive converts, of each data type that validates through it
+_NUMERIC = {
+    "sigma": lambda v: MixtureModel(means=np.array([0.0, 1.0]), sigma=v,
+                                    weights=np.array([0.5, 0.5])),
+    "composite_gain": lambda v: LinkBudget(composite_gain=v, sigma=1.0),
+    "bandwidth": lambda v: NoiseParams(bandwidth=v, ambient_photocurrent=0.0,
+                                       preamp_density=5e-12),
+    "distance": lambda v: LinkGeometry(distance=v),
+    "dc_bias": lambda v: DesignProblem(
+        variant="known_csi", constellation=build_constellation(4, 1.0),
+        bob_link=LinkBudget(composite_gain=1.0, sigma=1.0), dc_bias=v,
+        eve_link=LinkBudget(composite_gain=0.5, sigma=1.0)),
+}
+
+
+@pytest.mark.parametrize("value", ["abc", None, 1j])
+@pytest.mark.parametrize("field", sorted(_NUMERIC))
+def test_numeric_fields_reject_non_numbers_with_a_config_error(field, value):
+    _NUMERIC[field](1.0)
+    with pytest.raises(ConfigError, match=f"{field} must be a number"):
+        _NUMERIC[field](value)
 
 
 def test_positive_fields_reject_infinity():

@@ -327,10 +327,12 @@ def test_projector_warm_hit_makes_no_simplex_projection(monkeypatch):
     # a repeated point is solved on the last call's face
     assert np.array_equal(project(v), first)
     assert len(calls) == 0
-    # a new row leaves no last face: the cold call finds one by a simplex projection
+    # a row swap keeps the face guess, so the next call starts warm on it
+    guess = project.last[1]
     project.set_row(1, rng.standard_normal(8), -math.inf, 0.1)
+    assert project.last[1] == guess
     project(v)
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def _passes_exit(v, rows, symmetric):
