@@ -16,20 +16,15 @@ windows ``[r_m - 10 sigma, r_m + 10 sigma]`` and skip the gaps between them:
   ``I_m = -E_{y~N(r_m,sigma^2)}[log2 f(y)]``, from which both the entropy
   ``sum_m p_m I_m`` and its gradient ``I_m - log2(e)`` follow.  The solver
   uses this path, with Bob's and Eve's tables stacked into one ``(M, N_B +
-  N_E)`` table for known CSI; tests pin it against the adaptive one.
+  N_E)`` table for known CSI; tests pin it against the adaptive one.  Its
+  rows skip subnormal densities (slow on the CPU); ``log2 f`` floors at -1022.
 
 Internally integrals run in noise-standardized coordinates (means/sigma, unit
 variance) with ``log2(sigma)`` added back, so the extreme photocurrent scales
 never touch the quadrature.
 
-:func:`entropy_mc`, the sampling oracle for both, evaluates each sample
-``y = mu_k + x`` relative to its own component k: with the home term
-factored out, ``-log2 f`` is ``x^2/2`` plus a constant minus
-``log1p(sum_j exp(a_j x + b_j))``, affine exponents and no per-sample max.
-The sum runs only over the components within reach of k, those whose term
-can exceed ``2^-54 / M`` for ``|x| <= 8.5``; a sample beyond that, or of a
-component whose terms could cancel its home term by more than a few ulp,
-goes through the log-sum-exp of the quadrature path instead.
+:func:`entropy_mc`, the sampling oracle for both, evaluates each sample against
+its own component and the components within reach of it (:class:`_HomeKernel`).
 """
 from __future__ import annotations
 
@@ -82,6 +77,11 @@ _EXP_FLOOR = -700.0     # least shifted exponent _log2_pdf passes to exp
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _REACH_X = 8.5          # |x| the home-relative kernel covers; P(|N(0,1)| > 8.5) ~ 2e-17
 _HOME_EXP_MAX = 64.0    # largest kept exponent the home-relative kernel evaluates
+_TINY = np.finfo(float).tiny                    # least normal double, 2^-1022
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_PDF_EXP_MIN = _TINY * _SQRT_2PI    # exactly the least exp(-z^2/2) whose quotient is normal
+_PDF_REACH = math.sqrt(-2.0 * math.log(1.5 * _TINY))   # |z| beyond which exp(-z^2/2) < 1.5 tiny
+_P_SCALE = 2.0**64      # exact scale of p in p @ pdf: no term of a p_m >= 2^-64 is subnormal
 
 
 def _finite_means(means) -> np.ndarray:
@@ -351,6 +351,11 @@ def secrecy_lb_estimate(p, bob, eve_avg, c: PamConstellation) -> float:
     return cap_b - 0.5 * math.log2(1.0 + snr_e)
 
 
+def _weighted(pdf: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``pdf * w``, with 0 wherever the product would fall below the normal range."""
+    return np.multiply(pdf, w, out=np.zeros(pdf.shape), where=pdf >= 2.0 * _TINY / w)
+
+
 class EntropyGrid:
     """Fixed-grid mixture entropy and per-component integrals for one link.
 
@@ -363,6 +368,11 @@ class EntropyGrid:
 
     so one table evaluation yields the entropy objective and its gradient
     ``I - log2 e``.  Tail truncation at 10 sigma contributes < 1e-12 bits.
+
+    No table entry is subnormal (the CPU's slow path): a row holds its
+    density only over its reach, ``|y - mu_m| < _PDF_REACH`` (37.6), where it
+    is normal.  ``log2 f`` is floored at -1022 bits, so a symbol whose window
+    holds only underflowed f costs the floor, not the 0 bits of f = 1.
 
     :meth:`minus` stacks two links' pdf tables, ``(M, N_1 + N_2)``, for one
     product and one ``log2``; each link keeps its own weighted product (made
@@ -377,9 +387,20 @@ class EntropyGrid:
         centres, halves = _entropy_panels(mu)
         self._y = (centres[:, None] + halves[:, None] * self._GL_NODES).ravel()
         self._w = (halves[:, None] * self._GL_WEIGHTS).ravel()
-        # pdf[m, j]: standardized normal density of component m at node j
-        self._pdf = np.exp(-0.5 * (self._y[None, :] - mu[:, None]) ** 2) \
-            / math.sqrt(2.0 * math.pi)
+        # pdf[m, j]: standardized normal density of component m at node j, 0
+        # where it is below the normal range.  If the farthest node's is well
+        # inside that range, the table is one product (a slice per row costs
+        # more there); else each row is built over its reach, one slice of the
+        # sorted nodes.
+        far = max(self._y[-1] - mu.min(), mu.max() - self._y[0])
+        if math.exp(-0.5 * far**2) >= 2.0 * _PDF_EXP_MIN:
+            self._pdf = np.exp(-0.5 * (self._y[None, :] - mu[:, None]) ** 2) / _SQRT_2PI
+        else:
+            self._pdf = np.zeros((mu.size, self._y.size))
+            lo, hi = (np.searchsorted(self._y, mu + r).tolist() for r in (-_PDF_REACH, _PDF_REACH))
+            for m, (a, b) in enumerate(zip(lo, hi)):
+                e = np.exp(-0.5 * (self._y[a:b] - mu[m]) ** 2)
+                np.divide(e, _SQRT_2PI, out=self._pdf[m, a:b], where=e >= _PDF_EXP_MIN)
         self._log_sigma = math.log2(sigma)
         self._links = [(slice(None), self._w, self._log_sigma)]
 
@@ -394,9 +415,10 @@ class EntropyGrid:
     def component_integrals(self, p) -> list[np.ndarray]:
         """Per link, the vector I with I_m = -integral pdf_m(y) log2 f(y) dy, in bits."""
         if self._terms is None:
-            self._terms = [(c, self._pdf[:, c] * w, ls) for c, w, ls in self._links]
-        f = np.asarray(p, dtype=float) @ self._pdf
-        log2f = np.log2(f) if f.min() > 0 else np.log2(f, out=np.zeros_like(f), where=f > 0)
+            self._terms = [(c, _weighted(self._pdf[:, c], w), ls) for c, w, ls in self._links]
+        f = np.multiply(p, _P_SCALE) @ self._pdf
+        np.maximum(f, _TINY * _P_SCALE, out=f)
+        log2f = np.log2(np.multiply(f, 1.0 / _P_SCALE, out=f), out=f)
         return [log_sigma - wpdf @ log2f[c] for c, wpdf, log_sigma in self._terms]
 
     def entropy(self, p) -> float:

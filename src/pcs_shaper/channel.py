@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .exceptions import ConfigError
-from .validation import check_in_interval, check_positive
+from .validation import _as_float, check_in_interval, check_positive
 
 __all__ = [
     "LambertianLed",
@@ -62,8 +62,8 @@ class LambertianLed:
                           0.0, math.pi / 2, open_lo=True, open_hi=True)
         check_positive("conversion_eta", self.conversion_eta)
         check_positive("height", self.height)
-        if not self.i_min <= self.dc_bias <= self.i_max:
-            raise ConfigError("dc_bias must lie within [i_min, i_max]")
+        check_in_interval("dc_bias", self.dc_bias, _as_float("i_min", self.i_min),
+                          _as_float("i_max", self.i_max))
 
     @property
     def lambert_order(self) -> float:

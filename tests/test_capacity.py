@@ -392,6 +392,49 @@ def test_stacked_grid_has_the_bits_of_two_grids(case, receiver, noise_params):
     assert grad.tolist() == (grad_b - grad_e).tolist()
 
 
+def _paper_grids(m, power, receiver, noise_params):
+    """Bob's and Eve's grids of the paper links, with their standardized means."""
+    led, bob, eve, _, _ = links_at_dbm(power, receiver, noise_params)
+    a = build_constellation(m, led.peak_amplitude).amplitudes
+    return [(EntropyGrid(link.composite_gain * a, link.sigma),
+             link.composite_gain * a / link.sigma) for link in (bob, eve)]
+
+
+@pytest.mark.parametrize("power", [20.0, 25.0, 30.0, 32.0, 35.0])
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_grid_table_is_the_full_table_with_subnormals_zeroed(m, power, receiver,
+                                                             noise_params):
+    for grid, mu in _paper_grids(m, power, receiver, noise_params):
+        full = np.exp(-0.5 * (grid._y[None, :] - mu[:, None]) ** 2) / math.sqrt(2.0 * math.pi)
+        full[full < np.finfo(float).tiny] = 0.0
+        assert grid._pdf.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("power", [25.0, 30.0, 32.0, 35.0])    # 25 dBm: one-product build
+@pytest.mark.parametrize("m", [8, 16])
+def test_grid_build_and_evaluation_do_not_underflow(m, power, receiver, noise_params):
+    # the full table took exp of exponents down to -1e5 and kept subnormal entries
+    sparse = np.zeros(m)
+    sparse[[0, m // 2]] = 0.5
+    with np.errstate(under="raise"):
+        (gb, _), (ge, _) = _paper_grids(m, power, receiver, noise_params)
+        for grid in (gb, ge, gb.minus(ge)):
+            for p in (np.full(m, 1.0 / m), sparse):
+                grid.entropy_and_gradient(p)
+
+
+def test_grid_gradient_grows_with_distance_from_the_active_symbol(receiver, noise_params):
+    # With "log2 f := 0 where f = 0", the four symbols whose windows hold only
+    # f = 0 read -24.35, below the active symbol's -22.3; at the floor of
+    # -1022 bits they read 997.65.
+    (grid, _), _ = _paper_grids(8, 30.0, receiver, noise_params)
+    p = np.zeros(8)
+    p[0] = 1.0
+    _, g = grid.entropy_and_gradient(p)
+    assert np.all(g[1:] > g[0])
+    assert np.all(np.diff(g) >= -1e-13 * np.abs(g[1:]))   # the far four tie within rounding
+
+
 def test_capacity_zero_for_single_symbol(receiver, noise_params):
     _, bob, _, _, _ = links_at_dbm(30.0, receiver, noise_params)
     c = build_constellation(8, 2.0)

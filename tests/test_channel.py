@@ -270,6 +270,16 @@ def test_numeric_fields_reject_non_numbers_with_a_config_error(field, value):
         _NUMERIC[field](value)
 
 
+@pytest.mark.parametrize("field, value", [("dc_bias", "abc"), ("i_min", "x"),
+                                          ("i_max", None)])
+def test_led_drive_range_rejects_non_numbers_with_a_config_error(field, value):
+    kwargs = dict(semi_angle_half_power=math.pi / 3, conversion_eta=0.44, height=3.0,
+                  dc_bias=1.0)
+    LambertianLed(**kwargs)
+    with pytest.raises(ConfigError, match=f"{field} must be a number"):
+        LambertianLed(**{**kwargs, field: value})
+
+
 def test_positive_fields_reject_infinity():
     with pytest.raises(ConfigError):
         LinkBudget(composite_gain=1.0, sigma=math.inf)
