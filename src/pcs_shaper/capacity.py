@@ -6,25 +6,22 @@ differential entropy minus the noise entropy ``1/2 log2(2 pi e sigma^2)``;
 secrecy capacity is the capacity gap between the legitimate and eavesdropper
 links.  Everything is in bits.
 
-Two evaluation paths are provided, both over the panels that cover the
-windows ``[r_m - 10 sigma, r_m + 10 sigma]`` and skip the gaps between them:
+One quadrature evaluates it: :class:`EntropyGrid`, a fixed composite
+Gauss-Legendre table over the panels that cover the windows
+``[r_m - 10 sigma, r_m + 10 sigma]`` and skip the gaps between them.  It
+returns the per-component integrals ``I_m = -E_{y~N(r_m,sigma^2)}[log2 f(y)]``,
+from which both the entropy ``sum_m p_m I_m`` and its gradient
+``I_m - log2(e)`` follow.  The solver optimizes through it, with Bob's and
+Eve's tables stacked into one ``(M, N_B + N_E)`` table for known CSI, and
+:func:`mixture_entropy` reports through it, so a reported capacity is the
+optimized one to the bit.  Its rows skip subnormal densities (slow on the
+CPU); ``log2 f`` floors at -1022.  Its integrals run in noise-standardized
+coordinates (means/sigma, unit variance) with ``log2(sigma)`` added back, so
+the extreme photocurrent scales never touch the quadrature.
 
-* :func:`mixture_entropy` - vectorized adaptive G7-K15 Gauss-Kronrod
-  quadrature to 1e-9 bits absolute, the reference implementation;
-* :class:`EntropyGrid` - a fixed composite Gauss-Legendre table that also
-  returns the per-component integrals
-  ``I_m = -E_{y~N(r_m,sigma^2)}[log2 f(y)]``, from which both the entropy
-  ``sum_m p_m I_m`` and its gradient ``I_m - log2(e)`` follow.  The solver
-  uses this path, with Bob's and Eve's tables stacked into one ``(M, N_B +
-  N_E)`` table for known CSI; tests pin it against the adaptive one.  Its
-  rows skip subnormal densities (slow on the CPU); ``log2 f`` floors at -1022.
-
-Internally integrals run in noise-standardized coordinates (means/sigma, unit
-variance) with ``log2(sigma)`` added back, so the extreme photocurrent scales
-never touch the quadrature.
-
-:func:`entropy_mc`, the sampling oracle for both, evaluates each sample against
-its own component and the components within reach of it (:class:`_HomeKernel`).
+:func:`entropy_mc`, the sampling oracle for the grid, evaluates each sample
+against its own component and the components within reach of it
+(:class:`_HomeKernel`).
 """
 from __future__ import annotations
 
@@ -34,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import PamConstellation, as_probs, signed_amplitude_mean
-from .exceptions import ConfigError, DegradedRegimeError, NonConvergenceError
+from .exceptions import ConfigError, DegradedRegimeError
 from .montecarlo import _draws, _stderr
 from .validation import check_integer, check_positive, check_probability_vector
 
@@ -51,27 +48,6 @@ __all__ = [
 LOG2E = math.log2(math.e)
 GAUSS_ENTROPY_STD = 0.5 * math.log2(2.0 * math.pi * math.e)  # unit-variance Gaussian, bits
 _TAIL_SIGMAS = 10.0
-_QUAD_ABS_TOL = 1e-9
-_QUAD_MAX_PASSES = 8    # the initial one-sigma panels, then up to 7 bisections
-# QUADPACK's qk15 tables, from the end point -1 to the centre: the Kronrod
-# abscissae (the 7-point Gauss nodes are every other one) and their weights.
-_XGK = np.array([
-    -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
-    -0.586087235467691130294144845693013, -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245, 0.0])
-_WGK = np.array([
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
-_WG = np.array([
-    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975, 0.417959183673469387755102040816327])
-_K15_NODES = np.concatenate([_XGK, -_XGK[-2::-1]])
-_K15_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
-_G7_WEIGHTS = np.zeros(15)                      # zero at the Kronrod-only nodes
-_G7_WEIGHTS[1::2] = np.concatenate([_WG, _WG[-2::-1]])
 _ENTROPY_BLOCK = 8192   # samples per -log2 f evaluation in entropy_mc
 _EXP_FLOOR = -700.0     # least shifted exponent _log2_pdf passes to exp
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -243,37 +219,18 @@ def _entropy_panels(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mixture_entropy(mm: MixtureModel) -> float:
-    """Differential entropy -integral f log2 f in bits, to 1e-9 absolute.
+    """Differential entropy -integral f log2 f in bits: the :class:`EntropyGrid`
+    of all of ``mm``'s components, at its weights.
 
-    Adaptive G7-K15 Gauss-Kronrod quadrature in standardized coordinates over
-    the panels of :func:`_entropy_panels`.  Each pass evaluates ``-f log2 f``
-    at every node of every live panel in one call and takes ``|K15 - G7|`` as
-    a panel's error; it returns once the summed error is within
-    ``0.1 * _QUAD_ABS_TOL``, and otherwise accepts the panels whose error is
-    within their width's share of that budget and bisects the rest.  Raises
-    NonConvergenceError if ``_QUAD_MAX_PASSES`` passes do not reach the budget.
+    A component of zero weight adds its panels to the grid and ``0 * I_m`` to
+    the entropy, so the value is, bit for bit, the entropy the solver's
+    objective evaluates for the same link and weights.  The 16-point
+    Gauss-Legendre rule on panels at most one sigma wide leaves a truncation
+    error far below 1e-9 bits on the smooth integrand, and the tails past
+    10 sigma contribute under 1e-12 bits.  The rule is fixed, with no error
+    budget to meet, so no mixture raises NonConvergenceError.
     """
-    mu, w = _standardized(mm)
-    centres, halves = _entropy_panels(mu)
-    tol = 0.1 * _QUAD_ABS_TOL
-    half_total = halves.sum()
-    total = err = 0.0
-    for _ in range(_QUAD_MAX_PASSES):
-        lg = _log2_pdf((centres[:, None] + halves[:, None] * _K15_NODES).ravel(), mu, w)
-        g = (-np.exp2(lg) * lg).reshape(centres.size, _K15_NODES.size)
-        kronrod = halves * (g @ _K15_WEIGHTS)
-        panel_err = np.abs(kronrod - halves * (g @ _G7_WEIGHTS))
-        if err + panel_err.sum() <= tol:
-            return float(total + kronrod.sum()) + math.log2(mm.sigma)
-        done = panel_err <= tol * halves / half_total   # each panel's share of the budget
-        total += kronrod[done].sum()
-        err += panel_err[done].sum()
-        centres, halves = centres[~done], 0.5 * halves[~done]
-        centres = np.concatenate([centres - halves, centres + halves])
-        halves = np.concatenate([halves, halves])
-    raise NonConvergenceError(
-        f"entropy quadrature error {err + panel_err[~done].sum():.2e} above {tol:.1e} "
-        f"after {_QUAD_MAX_PASSES} passes")
+    return EntropyGrid(mm.means, mm.sigma).entropy(mm.weights)
 
 
 def entropy_mc(mm: MixtureModel, n_samples: int, seed: int = 0) -> tuple[float, float]:
@@ -315,7 +272,8 @@ def entropy_mc(mm: MixtureModel, n_samples: int, seed: int = 0) -> tuple[float, 
 
 def channel_capacity(mm: MixtureModel) -> float:
     """Mutual information of the mixture channel: H(y) - H(noise), bits."""
-    return mixture_entropy(mm) - GAUSS_ENTROPY_STD - math.log2(mm.sigma)
+    # the constants summed first, as in the solver's objective, so the bits agree
+    return mixture_entropy(mm) + (-GAUSS_ENTROPY_STD - math.log2(mm.sigma))
 
 
 def secrecy_capacity(p, bob, eve, c: PamConstellation) -> float:
@@ -347,7 +305,8 @@ def secrecy_lb_estimate(p, bob, eve_avg, c: PamConstellation) -> float:
     t = signed_amplitude_mean(c, p) ** 2
     a2 = c.peak_a**2
     cap_b = channel_capacity(MixtureModel.from_link(c, p, bob))
-    snr_e = eve_avg.composite_gain**2 * max(a2 - t, 0.0) / eve_avg.sigma**2
+    # (g_E / sigma_E)^2 as in the solver's objective, so the bits agree
+    snr_e = (eve_avg.composite_gain / eve_avg.sigma) ** 2 * max(a2 - t, 0.0)
     return cap_b - 0.5 * math.log2(1.0 + snr_e)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from pcs_shaper.capacity import EntropyGrid
+from pcs_shaper.capacity import EntropyGrid, secrecy_capacity, secrecy_lb_estimate
 from pcs_shaper.channel import LinkBudget
 from pcs_shaper.cli import default_paper_config, resolve_point
 from pcs_shaper.constellation import ConstraintSet, \
@@ -682,6 +682,27 @@ def test_known_csi_unconstrained_reduction(receiver, noise_params):
 
     free = inner_solve(fg, 8)
     assert res.objective == pytest.approx(fg(free.probs)[0], abs=1e-4)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_reported_known_csi_secrecy_is_the_objective(receiver, noise_params, m):
+    # the CSV's secrecy_bits evaluates the entropy grid the solver optimized,
+    # so the reported capacity is the optimized one to the bit
+    for power in (20.0, 24.0, 28.0, 32.0, 35.0):
+        prob, _, bob, eve, _ = _problem("known_csi", power, receiver, noise_params, m=m)
+        res = solve(prob, CccpSettings(n_starts=2, seed=2024))
+        assert secrecy_capacity(res.p_opt.probs, bob, eve, prob.constellation) \
+            == res.objective, f"M={m} at {power} dBm"
+
+
+@pytest.mark.parametrize("variant, mode", [("unknown_csi", "flicker"),
+                                           ("unknown_csi_symmetric", "symmetric")])
+def test_reported_unknown_csi_bound_is_the_objective(receiver, noise_params, variant, mode):
+    for power in (22.0, 26.0, 30.0, 34.0):
+        prob, _, bob, _, eve_avg = _problem(variant, power, receiver, noise_params, mode=mode)
+        res = solve(prob, CccpSettings(n_starts=2, seed=2024))
+        assert secrecy_lb_estimate(res.p_opt.probs, bob, eve_avg, prob.constellation) \
+            == res.objective, f"{variant} at {power} dBm"
 
 
 def test_traces_monotone_and_feasible(receiver, noise_params):
