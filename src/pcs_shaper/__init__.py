@@ -42,8 +42,6 @@ from .constellation import (
     Distribution,
     PamConstellation,
     build_constellation,
-    flicker_violation,
-    symmetry_matrix,
     symmetry_residual,
 )
 from .error_rate import (
@@ -67,7 +65,6 @@ from .solver import (
     CccpSettings,
     DesignProblem,
     SolveResult,
-    inner_solve,
     linearized_ber_constraint,
     solve,
 )

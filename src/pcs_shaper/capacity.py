@@ -79,8 +79,6 @@ class MixtureModel:
         means = _finite_means(self.means)
         w = check_probability_vector(self.weights, size=means.size)
         check_positive("sigma", self.sigma)
-        if not w.max() > 0:
-            raise ConfigError("at least one mixture weight must be positive")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "weights", w)
 

@@ -211,11 +211,13 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     ``b < 1``, where it agrees with the series to about 1e-12 relative.  For
     ``b < 1`` the integrand grows without bound towards pi/2, and beyond
     ``z = -40`` the fixed rule loses digits (2e-7 relative at ``b = 0.3``,
-    ``z = -1e5``), so such arguments raise ConfigError, as does any other
-    ``(a, c)``.
+    ``z = -1e5``), so such arguments raise ConfigError, as do a non-finite
+    ``b`` or ``z`` and any other ``(a, c)``.
     """
     if (a, c) != (0.5, 1.5):
         raise ConfigError(f"only 2F1(1/2, b; 3/2; z) is supported, got a={a}, c={c}")
+    if not (math.isfinite(b) and math.isfinite(z)):
+        raise ConfigError(f"b and z must be finite, got b={b}, z={z}")
     if z > 0:
         raise ConfigError(f"only the z <= 0 branch is supported, got z={z}")
     if b < 1.0 and z < -40.0:
@@ -230,9 +232,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
 
 def _eve_gain_prefactor(led: LambertianLed, pd: ReceiverPd) -> float:
     """Xi = A_r (l+1) T g / (2 pi), the angle-independent part of the gain."""
-    g_conc = pd.refractive_index**2 / math.sin(pd.fov) ** 2
     return pd.area * (led.lambert_order + 1.0) / (2.0 * math.pi) \
-        * pd.filter_gain * g_conc
+        * pd.filter_gain * pd.concentrator_gain(0.0)
 
 
 def average_eve_gain(led: LambertianLed, pd: ReceiverPd) -> float:
@@ -268,12 +269,9 @@ def eve_link_from_quality_ratio(bob: LinkBudget, ratio: float, led: LambertianLe
     check_positive("ratio", ratio)
     gamma_eta = pd.responsivity_gamma * led.conversion_eta
     q_target = bob.quality / ratio / gamma_eta     # target h / sigma ratio
-    e = ELEMENTARY_CHARGE
-    b_lin = noise.bandwidth * 2.0 * e * pd.responsivity_gamma * optical_power
-    const = noise.bandwidth * (
-        4.0 * math.pi * e * pd.responsivity_gamma * pd.area
-        * noise.ambient_photocurrent * (1.0 - math.cos(pd.fov))
-        + noise.preamp_density**2)
+    # sigma^2(h) = b_lin h + const: the shot term and the gain-free terms
+    b_lin = noise.bandwidth * 2.0 * ELEMENTARY_CHARGE * pd.responsivity_gamma * optical_power
+    const = noise_variance(pd, noise, 0.0, optical_power)
     h = (q_target**2 * b_lin
          + math.sqrt(q_target**4 * b_lin**2 + 4.0 * q_target**2 * const)) / 2.0
     sigma = math.sqrt(noise_variance(pd, noise, h, optical_power))

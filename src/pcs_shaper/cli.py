@@ -41,7 +41,7 @@ from .solver import CccpSettings, DesignProblem, feasibility_report, solve
 from .validation import check_power_of_two
 
 SCENARIOS = ("design_known", "design_unknown", "design_qos", "sweep_power",
-             "validate_ber", "convergence_trace")
+             "convergence_trace")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,6 +49,13 @@ EXIT_INFEASIBLE = 3
 EXIT_VALIDATION = 4
 EXIT_NONCONVERGENCE = 5
 EXIT_DEGRADED = 6
+# each package error's exit code and stderr prefix; the first type that
+# matches wins, so the base class comes last
+_ERRORS = ((InfeasibleError, EXIT_INFEASIBLE, "infeasible design"),
+           (ConfigError, EXIT_CONFIG, "config error"),
+           (NonConvergenceError, EXIT_NONCONVERGENCE, "no convergence"),
+           (DegradedRegimeError, EXIT_DEGRADED, "eavesdropper not degraded"),
+           (PcsShaperError, EXIT_VALIDATION, "error"))
 
 
 # The paper's simulation setup: every section's keys and their values.  A
@@ -142,10 +149,7 @@ class ExperimentConfig:
             variant = "unknown_csi_symmetric"
         object.__setattr__(self, "variant", variant)
 
-        m = self.modulation_order
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise ConfigError(f"modulation_order must be an integer, got {m!r}")
-        check_power_of_two("modulation_order", m)
+        check_power_of_two("modulation_order", self.modulation_order)
         powers = self.power_dbm
         if not (isinstance(powers, list) and powers and all(map(_is_number, powers))):
             raise ConfigError("power_dbm must be a non-empty list of finite "
@@ -417,25 +421,14 @@ def run(config_path: str, out_dir: str = ".", seed: int | None = None,
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    runners = {"sweep_power": _run_sweep, "convergence_trace": _run_convergence,
-               "validate_ber": lambda cfg, out: _run_validate()}
+    runners = {"sweep_power": _run_sweep, "convergence_trace": _run_convergence}
     try:
         return runners.get(cfg.scenario, _run_design)(cfg, out)
-    except InfeasibleError as exc:
-        print(f"infeasible design: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NonConvergenceError as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except DegradedRegimeError as exc:
-        print(f"eavesdropper not degraded: {exc}", file=sys.stderr)
-        return EXIT_DEGRADED
     except PcsShaperError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code, prefix = next((code, prefix) for kind, code, prefix in _ERRORS
+                            if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 def main(argv: list[str] | None = None) -> int:

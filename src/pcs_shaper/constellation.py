@@ -26,9 +26,7 @@ __all__ = [
     "as_probs",
     "ConstraintSet",
     "build_constellation",
-    "symmetry_matrix",
     "symmetry_residual",
-    "flicker_violation",
 ]
 
 INACTIVE_FLOOR = 1e-6   # probability below which a symbol is reported unused
@@ -45,13 +43,14 @@ class PamConstellation:
     amplitudes : the M symbol amplitudes in strictly increasing order
     gray_labels : per-symbol bit strings of length log2(M); adjacent labels
         differ in exactly one bit
+    gray_codes : the labels as integers, derived from ``gray_labels``
     """
 
     order_m: int
     peak_a: float
     amplitudes: np.ndarray
     gray_labels: tuple[str, ...]
-    gray_codes: np.ndarray = field(repr=False, default=None)
+    gray_codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "order_m", check_power_of_two("order_m", self.order_m))
@@ -68,9 +67,8 @@ class PamConstellation:
         if len(self.gray_labels) != self.order_m:
             raise ConfigError("one Gray label per symbol required")
         object.__setattr__(self, "amplitudes", amps)
-        if self.gray_codes is None:
-            codes = np.array([int(lbl, 2) for lbl in self.gray_labels], dtype=np.int64)
-            object.__setattr__(self, "gray_codes", codes)
+        object.__setattr__(self, "gray_codes", np.array(
+            [int(lbl, 2) for lbl in self.gray_labels], dtype=np.int64))
 
     @property
     def bits_per_symbol(self) -> int:
@@ -147,21 +145,9 @@ class ConstraintSet:
             raise ConfigError(f"mode must be 'flicker' or 'symmetric', got {self.mode!r}")
 
 
-def symmetry_matrix(order_m: int) -> np.ndarray:
-    """The (M/2, M) matrix S with S[i, i] = 1 and S[i, M-i+1] = -1.
-
-    ``S @ p = 0`` exactly when p_m = p_{M-m+1} for every m.
-    """
-    m = check_power_of_two("order_m", order_m)
-    s = np.zeros((m // 2, m))
-    for i in range(m // 2):
-        s[i, i] = 1.0
-        s[i, m - 1 - i] = -1.0
-    return s
-
-
 def symmetry_residual(p) -> np.ndarray:
-    """S @ p: one residual per mirror pair, all zero iff the distribution is symmetric."""
+    """``p_m - p_{M-m+1}`` for m <= M/2: one residual per mirror pair, all zero
+    iff the distribution is symmetric."""
     arr = as_probs(p)
     half = arr.size // 2
     return arr[:half] - arr[::-1][:half]
@@ -177,8 +163,3 @@ def signed_amplitude_mean(constellation: PamConstellation, p) -> float:
     a = constellation.amplitudes
     half = arr.size // 2
     return float(np.dot(a[:half], arr[:half] - arr[::-1][:half]))
-
-
-def flicker_violation(constellation: PamConstellation, p, led, alpha: float) -> float:
-    """Signed flicker margin ``|a^T p| - alpha * I_DC`` (feasible iff <= 0)."""
-    return abs(signed_amplitude_mean(constellation, p)) - alpha * led.dc_bias

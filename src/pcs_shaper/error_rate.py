@@ -138,13 +138,14 @@ def _pair_sum(c: PamConstellation, p, link, adjacent: bool, order: int):
     the Hessian is ``B^T diag(w) B``, rounding no cancellation.  The
     derivatives require an interior point.
     """
-    probs = as_probs(p)
+    probs, m = as_probs(p), c.order_m
+    if probs.size != m:
+        raise ConfigError(f"probability vector must have length {m}, got {probs.size}")
     lowest = probs.min()
     if order and lowest < ACTIVE_SUPPORT_FLOOR:
         raise ConfigError(
             f"derivatives require all probabilities >= {ACTIVE_SUPPORT_FLOOR}; "
             f"clamp the iterate first (min entry {lowest:.3e})")
-    m = c.order_m
     rows, cols, gaps = _pairs(c, adjacent)
     if lowest > 0:                                  # interior: every pair is live
         logp = np.log(probs)

@@ -67,7 +67,6 @@ __all__ = [
     "DesignProblem",
     "SolveResult",
     "feasibility_report",
-    "inner_solve",
     "linearized_ber_constraint",
     "solve",
     "project_to_simplex",
@@ -579,25 +578,6 @@ def _pg_ascent(value_and_grad, project, x0: np.ndarray, max_iter: int,
     return stop("iter_cap")
 
 
-def inner_solve(objective, n: int, rows=(), symmetric: bool = False) -> Distribution:
-    """Maximize a concave objective over the constrained simplex.
-
-    ``objective(p)`` must return ``(value, gradient)``; ``rows`` holds at most
-    two constraints ``(g, lo, hi)`` meaning ``lo <= g @ p <= hi`` (``lo`` may
-    be ``-inf``), and ``symmetric`` adds the mirror-symmetry subspace.
-    Raises InfeasibleError when the constraint set is empty and
-    NonConvergenceError when the KKT residual (unit-step projected-gradient
-    mapping) cannot be driven below ``_INNER_KKT_TOL`` from the uniform start.
-    """
-    project = _Projector(rows, symmetric)
-    p, _, reason = _pg_ascent(objective, project, np.full(n, 1.0 / n),
-                              _INNER_MAX_ITER, _INNER_KKT_TOL)
-    if reason != "kkt":
-        raise NonConvergenceError(
-            f"inner solve stopped ({reason}) above the KKT tolerance {_INNER_KKT_TOL}")
-    return Distribution(project_to_simplex(p))
-
-
 def linearized_ber_constraint(p_k, link: LinkBudget,
                               c: PamConstellation) -> np.ndarray:
     """Coefficient row ``g`` of the concave BER upper bound's tangent at p_k.
@@ -771,7 +751,6 @@ def feasibility_report(problem: DesignProblem, p: np.ndarray) -> dict[str, float
         "ber_upper": ber,
         "ber_upper_excess": ber - problem.constraints.pre_fec_threshold,
         "simplex_sum_error": abs(float(p.sum()) - 1.0),
-        "min_prob": float(p.min()),
     }
     if problem.constraints.mode == "symmetric":
         report["symmetry_residual_max"] = float(np.abs(symmetry_residual(p)).max())

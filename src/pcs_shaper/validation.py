@@ -53,8 +53,9 @@ def check_in_interval(name: str, value: float, lo: float, hi: float,
 def check_probability_vector(p, size: int | None = None) -> np.ndarray:
     """Validate a finite vector on the probability simplex and return it as float64."""
     arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1:
-        raise ConfigError(f"probability vector must be 1-D, got shape {arr.shape}")
+    if arr.ndim != 1 or not arr.size:
+        raise ConfigError("probability vector must be 1-D and non-empty, "
+                          f"got shape {arr.shape}")
     if size is not None and arr.size != size:
         raise ConfigError(f"probability vector must have length {size}, got {arr.size}")
     if not np.all(np.isfinite(arr)):
@@ -66,8 +67,10 @@ def check_probability_vector(p, size: int | None = None) -> np.ndarray:
     return arr
 
 
-def check_power_of_two(name: str, value: int) -> int:
-    value = int(value)
-    if value < 2 or value & (value - 1):
+def check_power_of_two(name: str, value) -> int:
+    """``value`` as an int; ConfigError, naming ``name``, unless it is an
+    integer (as :func:`check_integer` takes it) and a power of two >= 2."""
+    value = check_integer(name, value, 2)
+    if value & (value - 1):
         raise ConfigError(f"{name} must be a power of two >= 2, got {value}")
     return value

@@ -177,6 +177,14 @@ def test_hyp2f1_rejects_bad_arguments():
         hyp2f1(1.0, 2.0, 1.5, -1.0)
 
 
+@pytest.mark.parametrize("b, z", [(math.nan, -1.0), (2.0, math.nan), (math.inf, -1.0),
+                                  (-math.inf, -1.0), (2.0, -math.inf), (0.5, math.nan)])
+def test_hyp2f1_rejects_non_finite_arguments(b, z):
+    # every comparison with a NaN is False, so no domain test would catch it
+    with pytest.raises(ConfigError, match="finite"):
+        hyp2f1(0.5, b, 1.5, z)
+
+
 def test_average_eve_gain_unit_order_closed_form(receiver):
     led = led_for_order(1.0)
     psi = receiver.fov

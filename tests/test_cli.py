@@ -15,13 +15,15 @@ from pcs_shaper.cli import (
     EXIT_INFEASIBLE,
     EXIT_NONCONVERGENCE,
     EXIT_OK,
+    EXIT_VALIDATION,
     ExperimentConfig,
     default_paper_config,
     main,
     resolve_point,
     run,
 )
-from pcs_shaper.exceptions import ConfigError, NonConvergenceError
+from pcs_shaper.exceptions import ConfigError, DegradedRegimeError, InfeasibleError, \
+    NonConvergenceError, PcsShaperError
 
 
 def mini_config(**overrides) -> dict:
@@ -164,12 +166,6 @@ def test_convergence_trace_scenario(tmp_path):
     assert len(lines) > 2
 
 
-def test_validate_scenario_passes(tmp_path):
-    cfg = mini_config(scenario="validate_ber")
-    path = write_config(tmp_path, cfg)
-    assert run(str(path), out_dir=str(tmp_path)) == EXIT_OK
-
-
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -178,6 +174,9 @@ def test_config_error_exit_code(tmp_path):
     path = write_config(tmp_path, cfg, "bad2.json")
     assert run(str(path)) == EXIT_CONFIG
     assert run(str(tmp_path / "missing.json")) == EXIT_CONFIG
+    # the oracle cross-checks are `pcs-shaper validate`, not a scenario
+    path = write_config(tmp_path, mini_config(scenario="validate_ber"), "bad3.json")
+    assert run(str(path)) == EXIT_CONFIG
 
 
 def test_misspelt_solver_key_is_a_config_error(tmp_path):
@@ -301,6 +300,23 @@ def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     cfg = mini_config(scenario="design_known", power_dbm=[28.0])
     path = write_config(tmp_path, cfg)
     assert run(str(path), out_dir=str(tmp_path)) == EXIT_NONCONVERGENCE
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (InfeasibleError, EXIT_INFEASIBLE, "infeasible design"),
+    (ConfigError, EXIT_CONFIG, "config error"),
+    (NonConvergenceError, EXIT_NONCONVERGENCE, "no convergence"),
+    (DegradedRegimeError, EXIT_DEGRADED, "eavesdropper not degraded"),
+    (PcsShaperError, EXIT_VALIDATION, "error"),
+])
+def test_each_package_error_has_its_exit_code_and_message(tmp_path, monkeypatch, capsys,
+                                                          error, code, prefix):
+    def failing(problem, settings):
+        raise error("at 28 dBm")
+    monkeypatch.setattr("pcs_shaper.cli.solve", failing)
+    path = write_config(tmp_path, mini_config(scenario="design_known", power_dbm=[28.0]))
+    assert run(str(path), out_dir=str(tmp_path)) == code
+    assert capsys.readouterr().err == f"{prefix}: at 28 dBm\n"
 
 
 def test_main_paper_config_and_validate(capsys):

@@ -4,18 +4,28 @@ import math
 import numpy as np
 import pytest
 
+from pcs_shaper.channel import LinkBudget
 from pcs_shaper.constellation import (
     ConstraintSet,
     Distribution,
+    PamConstellation,
     build_constellation,
-    flicker_violation,
     signed_amplitude_mean,
-    symmetry_matrix,
     symmetry_residual,
 )
 from pcs_shaper.exceptions import ConfigError
+from pcs_shaper.solver import DesignProblem, feasibility_report
+from pcs_shaper.validation import check_power_of_two
 
 from conftest import led_at_dbm
+
+
+def flicker_excess(c, p, led, alpha: float) -> float:
+    """The design report's flicker margin ``|a^T p| - alpha * I_DC`` (feasible iff <= 0)."""
+    link = LinkBudget(composite_gain=1.0, sigma=1.0)
+    problem = DesignProblem("qos_max_eve_ber", c, link, led.dc_bias,
+                            ConstraintSet(flicker_alpha=alpha), eve_link=link)
+    return feasibility_report(problem, np.asarray(p, dtype=float))["flicker_excess"]
 
 
 def test_binary_endpoints():
@@ -61,11 +71,33 @@ def test_rejects_non_power_of_two(m):
         build_constellation(m, 1.0)
 
 
+@pytest.mark.parametrize("m", [8.7, 8.0, "8", True, None])
+def test_rejects_non_integer_modulation_orders(m):
+    # a float or a string is not truncated to a neighbouring order
+    with pytest.raises(ConfigError, match="order_m must be an integer"):
+        build_constellation(m, 1.0)
+    with pytest.raises(ConfigError, match="^m must be an integer"):
+        check_power_of_two("m", m)
+
+
+def test_power_of_two_accepts_numpy_integers():
+    assert check_power_of_two("m", np.int64(16)) == 16
+    assert build_constellation(np.int32(4), 1.0).order_m == 4
+
+
+def test_gray_codes_come_from_the_labels():
+    c = build_constellation(8, 1.0)
+    assert [format(k, "03b") for k in c.gray_codes] == list(c.gray_labels)
+    with pytest.raises(TypeError):
+        PamConstellation(order_m=2, peak_a=1.0, amplitudes=[-1.0, 1.0],
+                         gray_labels=("0", "1"), gray_codes=np.array([1, 0]))
+
+
 def test_flicker_uniform_is_slack():
     led = led_at_dbm(30.0)
     c = build_constellation(8, led.peak_amplitude)
-    p = Distribution.uniform(8)
-    assert flicker_violation(c, p, led, 0.01) == pytest.approx(
+    p = Distribution.uniform(8).probs
+    assert flicker_excess(c, p, led, 0.01) == pytest.approx(
         -0.01 * led.dc_bias, abs=1e-18)
 
 
@@ -77,7 +109,7 @@ def test_flicker_symmetric_is_exactly_slack():
         half = rng.dirichlet(np.ones(4)) / 2.0
         p = np.concatenate([half, half[::-1]])
         assert signed_amplitude_mean(c, p) == 0.0
-        assert flicker_violation(c, p, led, 0.01) == -0.01 * led.dc_bias
+        assert flicker_excess(c, p, led, 0.01) == -0.01 * led.dc_bias
 
 
 def test_flicker_peak_symbol_violates():
@@ -85,16 +117,7 @@ def test_flicker_peak_symbol_violates():
     c = build_constellation(8, 1.0)
     p = np.zeros(8)
     p[-1] = 1.0
-    assert flicker_violation(c, p, led, 0.0) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_symmetry_matrix_structure():
-    s = symmetry_matrix(8)
-    assert s.shape == (4, 8)
-    for i in range(4):
-        row = s[i]
-        assert row[i] == 1.0 and row[7 - i] == -1.0
-        assert np.count_nonzero(row) == 2
+    assert flicker_excess(c, p, led, 0.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_symmetry_residual_examples():
@@ -102,14 +125,6 @@ def test_symmetry_residual_examples():
     assert np.allclose(symmetry_residual([0.4, 0.1, 0.1, 0.4]), [0.0, 0.0], atol=0)
     got = symmetry_residual([0.5, 0.1, 0.1, 0.3])
     assert got == pytest.approx([0.2, 0.0], abs=1e-15)
-
-
-def test_symmetry_matrix_agrees_with_residual():
-    rng = np.random.default_rng(11)
-    s = symmetry_matrix(8)
-    for _ in range(20):
-        p = rng.dirichlet(np.ones(8))
-        assert np.allclose(s @ p, symmetry_residual(p), atol=1e-16)
 
 
 def test_symmetric_implies_flicker_free():
@@ -120,7 +135,7 @@ def test_symmetric_implies_flicker_free():
         half = rng.dirichlet(np.ones(8)) / 2.0
         p = np.concatenate([half, half[::-1]])
         assert np.abs(symmetry_residual(p)).max() == 0.0
-        assert flicker_violation(c, p, led, 0.0) <= 0.0
+        assert flicker_excess(c, p, led, 0.0) <= 0.0
 
 
 def test_distribution_validation():
@@ -131,6 +146,12 @@ def test_distribution_validation():
         Distribution(np.array([1.2, -0.2]))
     with pytest.raises(ConfigError):
         Distribution(np.array([[0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("empty", [[], np.zeros(0), np.zeros((0, 3))])
+def test_empty_distribution_is_a_config_error(empty):
+    with pytest.raises(ConfigError, match="non-empty"):
+        Distribution(empty)
 
 
 def test_distribution_rendering_floor():

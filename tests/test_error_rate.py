@@ -220,6 +220,17 @@ def test_gradient_rejects_boundary_points():
         grad_ber_upper(c, np.array([0.5, 0.5, 0.0, 0.0]), link)
 
 
+@pytest.mark.parametrize("kernel", [ser_upper_bound, ser_approx, ber_upper_bound, ber_approx,
+                                    grad_ber_upper, grad_ber_approx, hess_ber_approx])
+@pytest.mark.parametrize("size", [3, 5, 8])
+def test_kernels_reject_a_vector_whose_length_is_not_m(kernel, size):
+    # the pair lists index only the first M entries, so a longer vector would lose the rest
+    c = build_constellation(4, 2.0)
+    link = LinkBudget(composite_gain=1.0, sigma=1.0)
+    with pytest.raises(ConfigError, match="length 4"):
+        kernel(c, np.full(size, 1.0 / size), link)
+
+
 def test_approx_gradient_matches_finite_differences():
     rng = np.random.default_rng(47)
     c = build_constellation(8, 3.0)

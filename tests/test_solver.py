@@ -19,6 +19,8 @@ from pcs_shaper.exceptions import ConfigError, DegradedRegimeError, InfeasibleEr
     NonConvergenceError
 from pcs_shaper.solver import (
     _FEAS_TOL,
+    _INNER_KKT_TOL,
+    _INNER_MAX_ITER,
     CccpSettings,
     DesignProblem,
     _Objective,
@@ -28,7 +30,6 @@ from pcs_shaper.solver import (
     _run_single_start,
     _start_points,
     feasibility_report,
-    inner_solve,
     linearized_ber_constraint,
     project_to_simplex,
     solve,
@@ -91,13 +92,21 @@ def qp_oracle_max(q_mat, c_vec, a_ub=None, b_ub=None):
     return best_val, best_x
 
 
+def maximize(fg, n: int, rows=(), symmetric: bool = False) -> np.ndarray:
+    """The inner solve from the uniform point, which must end at KKT."""
+    p, _, reason = _pg_ascent(fg, _Projector(rows, symmetric), np.full(n, 1.0 / n),
+                              _INNER_MAX_ITER, _INNER_KKT_TOL)
+    assert reason == "kkt"
+    return p
+
+
 def test_max_entropy_over_simplex_is_uniform():
     def fg(p):
         q = np.maximum(p, 1e-300)
         return float(-(q * np.log(q)).sum()), -(np.log(q) + 1.0)
 
-    out = inner_solve(fg, 8)
-    assert np.abs(out.probs - 1.0 / 8).max() < 1e-8
+    out = maximize(fg, 8)
+    assert np.abs(out - 1.0 / 8).max() < 1e-8
 
 
 def test_projection_identity():
@@ -106,8 +115,8 @@ def test_projection_identity():
     def fg(p):
         return -float((p - q) @ (p - q)), -2.0 * (p - q)
 
-    out = inner_solve(fg, 4)
-    assert np.abs(out.probs - q).max() < 1e-8
+    out = maximize(fg, 4)
+    assert np.abs(out - q).max() < 1e-8
 
 
 def test_concave_quadratic_matches_active_set_oracle():
@@ -124,17 +133,17 @@ def test_concave_quadratic_matches_active_set_oracle():
         def fg(p):
             return float(0.5 * p @ q_mat @ p + c_vec @ p), q_mat @ p + c_vec
 
-        got = inner_solve(fg, 4, [(g_row, -math.inf, b_val)])
-        val = fg(got.probs)[0]
+        got = maximize(fg, 4, [(g_row, -math.inf, b_val)])
+        val = fg(got)[0]
         want_val, want_x = qp_oracle_max(q_mat, c_vec, a_ub, b_ub)
         assert val == pytest.approx(want_val, abs=1e-5)
-        assert np.abs(got.probs - want_x).max() < 1e-4
+        assert np.abs(got - want_x).max() < 1e-4
 
 
 def test_inner_solve_signals_infeasible():
     a = np.array([1.0, 1.0, 1.0, 1.0])
     with pytest.raises(InfeasibleError):
-        inner_solve(lambda p: (0.0, np.zeros(4)), 4, [(a, -math.inf, 0.5)])
+        _Projector([(a, -math.inf, 0.5)])
 
 
 def test_inner_solve_symmetric_subspace():
@@ -143,10 +152,10 @@ def test_inner_solve_symmetric_subspace():
     def fg(p):
         return -float((p - target) @ (p - target)), -2.0 * (p - target)
 
-    out = inner_solve(fg, 4, symmetric=True)
-    assert np.abs(symmetry_residual(out.probs)).max() < 1e-12
+    out = maximize(fg, 4, symmetric=True)
+    assert np.abs(symmetry_residual(out)).max() < 1e-12
     sym_target = 0.5 * (target + target[::-1])
-    assert np.abs(out.probs - sym_target).max() < 1e-8
+    assert np.abs(out - sym_target).max() < 1e-8
 
 
 def test_pg_ascent_returns_the_value_of_the_point_it_returns():
@@ -680,8 +689,8 @@ def test_known_csi_unconstrained_reduction(receiver, noise_params):
         he, grade = ge.entropy_and_gradient(p)
         return hb - he + const, gradb - grade
 
-    free = inner_solve(fg, 8)
-    assert res.objective == pytest.approx(fg(free.probs)[0], abs=1e-4)
+    free = maximize(fg, 8)
+    assert res.objective == pytest.approx(fg(free)[0], abs=1e-4)
 
 
 @pytest.mark.parametrize("m", [8, 16])
