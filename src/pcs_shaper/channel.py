@@ -211,11 +211,12 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     ``b < 1``, where it agrees with the series to about 1e-12 relative.  For
     ``b < 1`` the integrand grows without bound towards pi/2, and beyond
     ``z = -40`` the fixed rule loses digits (2e-7 relative at ``b = 0.3``,
-    ``z = -1e5``), so such arguments raise ConfigError, as do a non-finite
-    ``b`` or ``z`` and any other ``(a, c)``.
+    ``z = -1e5``), so such arguments raise ConfigError, as do a ``b`` or
+    ``z`` that is not a finite number and any other ``(a, c)``.
     """
     if (a, c) != (0.5, 1.5):
         raise ConfigError(f"only 2F1(1/2, b; 3/2; z) is supported, got a={a}, c={c}")
+    b, z = _as_float("b", b), _as_float("z", z)
     if not (math.isfinite(b) and math.isfinite(z)):
         raise ConfigError(f"b and z must be finite, got b={b}, z={z}")
     if z > 0:

@@ -284,23 +284,30 @@ def _bob_mc_ber(cfg: ExperimentConfig, point: OperatingPoint, p: Distribution,
 
 
 def _sweep_row(cfg: ExperimentConfig, point: OperatingPoint, scheme: str,
-               p: Distribution, row: int) -> list:
-    """CSV row ``row``; the BER bound and feasibility come from one report."""
-    report = feasibility_report(point.problem, p.probs)
+               p: Distribution, secrecy: float, report: dict, row: int) -> list:
+    """CSV row ``row`` of ``p``, with its secrecy and its feasibility report."""
     if "symmetry_residual_max" in report:
         feasible = report["symmetry_residual_max"] < 1e-9
     else:
         feasible = report["flicker_excess"] <= 1e-12
-    return [point.power_dbm, scheme, _secrecy_metric(point, p), report["ber_upper"],
+    return [point.power_dbm, scheme, secrecy, report["ber_upper"],
             _bob_mc_ber(cfg, point, p, row), report["ber_upper_excess"] <= 1e-8 and feasible]
 
 
 def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
+    """The uniform and the shaped row at each power.  A shaped row takes its
+    feasibility report and, but for QoS (whose objective is Eve's BER), its
+    secrecy from the solve: ``_secrecy_metric`` of ``p_opt``, bit for bit."""
     uniform = Distribution.uniform(cfg.modulation_order)
     rows = []
     for point, result in _solved(cfg):
-        for scheme, p in (("uniform", uniform), ("pcs", result.p_opt)):
-            rows.append(_sweep_row(cfg, point, scheme, p, len(rows)))
+        rows.append(_sweep_row(cfg, point, "uniform", uniform,
+                               _secrecy_metric(point, uniform),
+                               feasibility_report(point.problem, uniform.probs), len(rows)))
+        secrecy = _secrecy_metric(point, result.p_opt) \
+            if cfg.variant == "qos_max_eve_ber" else result.objective
+        rows.append(_sweep_row(cfg, point, "pcs", result.p_opt, secrecy,
+                               result.feasibility, len(rows)))
     _write_csv(out_dir / cfg.output, cfg,
                ["power_dbm", "scheme", "secrecy_bits", "ber_analytic",
                 "ber_montecarlo", "feasible"], rows)

@@ -119,9 +119,13 @@ class Distribution:
         return cls(np.full(m, 1.0 / m))
 
 
-def as_probs(p) -> np.ndarray:
-    """The probability vector of a :class:`Distribution` or an array-like, as float."""
-    return p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
+def as_probs(p, size: int | None = None) -> np.ndarray:
+    """The probability vector of a :class:`Distribution` or an array-like, as
+    float; ConfigError if ``size`` is given and the length is not ``size``."""
+    arr = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
+    if size is not None and arr.size != size:
+        raise ConfigError(f"probability vector must have length {size}, got {arr.size}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -158,8 +162,9 @@ def signed_amplitude_mean(constellation: PamConstellation, p) -> float:
 
     Folding the sum over (m, M-m+1) pairs makes the result exactly zero for a
     symmetric distribution, since mirrored amplitudes are exact negations.
+    A vector whose length is not M raises ConfigError.
     """
-    arr = as_probs(p)
+    arr = as_probs(p, constellation.order_m)
     a = constellation.amplitudes
     half = arr.size // 2
     return float(np.dot(a[:half], arr[:half] - arr[::-1][:half]))

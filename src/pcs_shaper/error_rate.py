@@ -138,9 +138,7 @@ def _pair_sum(c: PamConstellation, p, link, adjacent: bool, order: int):
     the Hessian is ``B^T diag(w) B``, rounding no cancellation.  The
     derivatives require an interior point.
     """
-    probs, m = as_probs(p), c.order_m
-    if probs.size != m:
-        raise ConfigError(f"probability vector must have length {m}, got {probs.size}")
+    probs, m = as_probs(p, c.order_m), c.order_m
     lowest = probs.min()
     if order and lowest < ACTIVE_SUPPORT_FLOOR:
         raise ConfigError(

@@ -26,14 +26,16 @@ it.
 
 The simulation counts instead of looking samples up.  Noise is drawn in
 blocks of at most ``_BLOCK`` samples of one symbol, so that a block stays in
-cache, and a block's confusion row is read off the counts of its samples
-above each cut.  These counts fall as the cut rises, so they are taken cut by
-cut outward from the interval of the sent symbol's noiseless receive value,
-upward until none is above and downward until all are; the cuts not visited
-are known.  The passes over a block are those of the intervals its noise
+cache, and each block adds to its symbol's counts of samples beyond each
+cut, seen from the interval of the symbol's noiseless receive value.  These
+counts fall with the distance from home, so they are taken cut by cut
+outward, upward and downward until one is zero; the cuts not visited add
+zero.  The passes over a block are those of the intervals its noise
 reaches: two when no sample leaves home, whatever M, so the cost follows the
-errors rather than M.  Successive draws continue the chunk's one stream, so
-the noise and the counts do not depend on the blocking.
+errors rather than M.  A symbol's totals are Python ints over all its
+blocks, and its confusion row is written once, after the last draw.
+Successive draws continue the chunk's one stream, so the noise and the
+counts do not depend on the blocking.
 """
 from __future__ import annotations
 
@@ -161,10 +163,11 @@ def map_detect(y, c: PamConstellation, p, link) -> np.ndarray | int:
     strictly increasing, so this is ``searchsorted(cuts, y, "left")``: a
     sample exactly on a cut goes to the lower index, as an argmax over the
     metrics sends a tie.  Zero-probability symbols never win.  Accepts a
-    scalar (returns ``int``) or an array of receive samples, all finite.
+    scalar (returns ``int``) or an array of receive samples, all finite; a
+    probability vector whose length is not M raises ConfigError.
     """
     winners, cuts = _decision_intervals(link.composite_gain * c.amplitudes,
-                                        as_probs(p), link.sigma)
+                                        as_probs(p, c.order_m), link.sigma)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if not np.isfinite(y_arr).all():
         raise ConfigError("receive samples must be finite")
@@ -185,11 +188,12 @@ def simulate_error_rates(cfg: SimConfig) -> ErrorStats:
     the per-symbol error indicator and the per-symbol bit-error count, so a
     symbol error that flips several bits counts as one correlated event.
 
-    A block of symbol ``s`` is counted outward from ``home[s]``, the interval
-    of its noiseless receive value.  ``above[j + 1]`` is the number of its
-    samples above ``cuts[j]``, so interval ``i`` holds ``above[i] -
-    above[i + 1]`` (``above[0]`` is the block size, the last entry 0); the
-    cuts the count does not visit hold 0 or the block size.
+    Symbol ``s``'s blocks are counted outward from ``home[s]``, the interval
+    of its noiseless receive value: ``beyond[s][j]`` totals its samples above
+    ``cuts[j]`` for ``j >= home[s]`` and at or below it for ``j < home[s]``.
+    Of its ``n_s`` samples, ``above[j + 1] = beyond[s][j]`` or ``n_s -
+    beyond[s][j]`` are above ``cuts[j]``, and interval ``i`` holds
+    ``above[i] - above[i + 1]`` (``above[0] = n_s``, the last entry 0).
     """
     n = cfg.n_symbols
     probs = cfg.distribution.probs
@@ -200,23 +204,28 @@ def simulate_error_rates(cfg: SimConfig) -> ErrorStats:
     home = np.searchsorted(winners, map_detect(
         means, cfg.constellation, probs, cfg.link)).tolist()
     cuts = cuts.tolist()
-    confusion = np.zeros((m, m), dtype=np.intp)
+    n_sent = [0] * m
+    beyond = [[0] * len(cuts) for _ in range(m)]
     for sent, y in _draws(cfg.seed, n, probs):
         size = y.size
         y *= sigma
         y += means[sent]                # the bits of means[sent] + sigma * z
-        start = home[sent]
-        above = np.zeros(len(cuts) + 2, dtype=np.intp)
-        above[:start + 1] = size
+        start, tally = home[sent], beyond[sent]
+        n_sent[sent] += size
         for j in range(start, len(cuts)):
-            above[j + 1] = np.count_nonzero(y > cuts[j])
-            if not above[j + 1]:
+            count = int(np.count_nonzero(y > cuts[j]))
+            if not count:
                 break
+            tally[j] += count
         for j in range(start - 1, -1, -1):
-            above[j + 1] = np.count_nonzero(y > cuts[j])
-            if above[j + 1] == size:
+            count = size - int(np.count_nonzero(y > cuts[j]))
+            if not count:
                 break
-        confusion[sent, winners] += above[:-1] - above[1:]
+            tally[j] += count
+    confusion = np.zeros((m, m), dtype=np.intp)
+    for s, (n_s, tally) in enumerate(zip(n_sent, beyond)):
+        above = [n_s, *(n_s - t if j < home[s] else t for j, t in enumerate(tally)), 0]
+        confusion[s, winners] = np.subtract(above[:-1], above[1:])
     k = cfg.constellation.bits_per_symbol
     codes = cfg.constellation.gray_codes
     labels_xor = codes[:, None] ^ codes[None, :]

@@ -175,6 +175,9 @@ def test_hyp2f1_rejects_bad_arguments():
         hyp2f1(0.5, 2.0, 1.5, 0.5)
     with pytest.raises(ConfigError):
         hyp2f1(1.0, 2.0, 1.5, -1.0)
+    for b, z, name in [("x", -1.0, "b"), (2.0, "x", "z"), (None, -1.0, "b")]:
+        with pytest.raises(ConfigError, match=f"^{name} must be a number"):
+            hyp2f1(0.5, b, 1.5, z)
 
 
 @pytest.mark.parametrize("b, z", [(math.nan, -1.0), (2.0, math.nan), (math.inf, -1.0),

@@ -17,13 +17,19 @@ from pcs_shaper.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     ExperimentConfig,
+    _fmt,
+    _secrecy_metric,
+    _solved,
+    _sweep_row,
     default_paper_config,
     main,
     resolve_point,
     run,
 )
+from pcs_shaper.constellation import Distribution
 from pcs_shaper.exceptions import ConfigError, DegradedRegimeError, InfeasibleError, \
     NonConvergenceError, PcsShaperError
+from pcs_shaper.solver import feasibility_report
 
 
 def mini_config(**overrides) -> dict:
@@ -94,6 +100,28 @@ def test_sweep_rows_draw_their_own_monte_carlo_streams(tmp_path):
     first, second = [row.split(",") for row in text.splitlines()[2:] if ",uniform," in row]
     assert first[:4] == second[:4]
     assert first[4] != second[4]                    # ber_montecarlo
+
+
+@pytest.mark.parametrize("variant, mode", [("known_csi", "flicker"),
+                                           ("unknown_csi", "flicker"),
+                                           ("unknown_csi", "symmetric"),
+                                           ("qos_max_eve_ber", "flicker")])
+def test_sweep_rows_equal_their_recomputation(tmp_path, variant, mode):
+    # a shaped row reports the solve's objective (not for QoS, whose objective
+    # is Eve's BER) and feasibility report; every row must read as if its
+    # secrecy and report were computed afresh from its distribution
+    data = mini_config(output="sweep.csv", variant=variant)
+    data["constraints"] = {**data["constraints"], "mode": mode}
+    assert run(str(write_config(tmp_path, data)), out_dir=str(tmp_path)) == EXIT_OK
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+    cfg = ExperimentConfig.from_dict(data)
+    uniform = Distribution.uniform(cfg.modulation_order)
+    want = []
+    for point, result in _solved(cfg):          # a second, deterministic solve
+        for scheme, p in (("uniform", uniform), ("pcs", result.p_opt)):
+            want.append(_sweep_row(cfg, point, scheme, p, _secrecy_metric(point, p),
+                                   feasibility_report(point.problem, p.probs), len(want)))
+    assert lines == [",".join(_fmt(x) for x in row) for row in want]
 
 
 @pytest.mark.parametrize("key, value", [("seed", -1), ("n_symbols", 0)])

@@ -14,6 +14,7 @@ from pcs_shaper.constellation import (
     symmetry_residual,
 )
 from pcs_shaper.exceptions import ConfigError
+from pcs_shaper.montecarlo import map_detect
 from pcs_shaper.solver import DesignProblem, feasibility_report
 from pcs_shaper.validation import check_power_of_two
 
@@ -136,6 +137,17 @@ def test_symmetric_implies_flicker_free():
         p = np.concatenate([half, half[::-1]])
         assert np.abs(symmetry_residual(p)).max() == 0.0
         assert flicker_excess(c, p, led, 0.0) <= 0.0
+
+
+def test_probability_vector_of_the_wrong_length_is_a_config_error():
+    # the mirror fold would pair the ends of a length-5 vector without error,
+    # and the MAP lookup would index past the constellation
+    c = build_constellation(4, 1.0)
+    p = [0.1, 0.2, 0.3, 0.2, 0.2]
+    with pytest.raises(ConfigError, match="length 4, got 5"):
+        signed_amplitude_mean(c, p)
+    with pytest.raises(ConfigError, match="length 4, got 5"):
+        map_detect(0.0, c, p, LinkBudget(composite_gain=1.0, sigma=0.3))
 
 
 def test_distribution_validation():
