@@ -41,7 +41,6 @@ from .constellation import (
     ConstraintSet,
     Distribution,
     PamConstellation,
-    build_constellation,
     symmetry_residual,
 )
 from .error_rate import (

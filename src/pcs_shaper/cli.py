@@ -31,7 +31,7 @@ from .capacity import secrecy_capacity, secrecy_lb_estimate
 from .channel import LambertianLed, LinkBudget, LinkGeometry, NoiseParams, \
     ReceiverPd, average_eve_link, eve_link_from_quality_ratio, hyp2f1, \
     link_budget_from_geometry
-from .constellation import ConstraintSet, Distribution, build_constellation
+from .constellation import ConstraintSet, Distribution, PamConstellation
 from .error_rate import PairwiseGeometry, ber_approx, pairwise_error_prob, \
     ser_approx, ser_upper_bound
 from .exceptions import ConfigError, DegradedRegimeError, InfeasibleError, \
@@ -211,7 +211,7 @@ def resolve_point(cfg: ExperimentConfig, power_dbm: float) -> OperatingPoint:
     bob = link_budget_from_geometry(led, pd, noise, bob_geom, power_watt)
 
     peak = cfg.peak_amplitude if cfg.peak_amplitude is not None else led.peak_amplitude
-    constellation = build_constellation(cfg.modulation_order, peak)
+    constellation = PamConstellation(cfg.modulation_order, peak)
 
     eve_link = eve_avg = None
     eve = cfg.eve
@@ -375,7 +375,7 @@ def _run_validate() -> int:
 
     # bound ordering on random 8-PAM configurations
     ok = True
-    c8 = build_constellation(8, 4.0)
+    c8 = PamConstellation(8, 4.0)
     for _ in range(4):
         p = Distribution(rng.dirichlet(np.ones(8)))
         link = LinkBudget(composite_gain=1.0, sigma=float(rng.uniform(0.3, 1.2)))

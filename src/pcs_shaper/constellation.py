@@ -5,10 +5,10 @@ The bipolar amplitude grid for a peak amplitude ``A`` is
 
     a_m = (2m - M - 1) * A / (M - 1),   m = 1..M,
 
-equally spaced, symmetric about zero, with ``|a_m| <= A`` and the extremes at
-exactly ``-A`` and ``+A``.  The average emitted optical power of a shaped
-constellation deviates from the DC operating point by ``eta * a^T p``, which the
-flicker constraint keeps within ``alpha * I_DC``.
+equally spaced and symmetric about zero; the extremes are ``-A`` and ``+A``
+to within an ulp (exactly at M = 2).  The average emitted optical power of a
+shaped constellation deviates from the DC operating point by ``eta * a^T p``,
+which the flicker constraint keeps within ``alpha * I_DC``.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ __all__ = [
     "Distribution",
     "as_probs",
     "ConstraintSet",
-    "build_constellation",
     "symmetry_residual",
 ]
 
@@ -34,62 +33,44 @@ INACTIVE_FLOOR = 1e-6   # probability below which a symbol is reported unused
 
 @dataclass(frozen=True, eq=False)
 class PamConstellation:
-    """Equally spaced bipolar M-PAM constellation with a binary-reflected Gray map.
+    """``PamConstellation(M, A)``: the grid a_m = (2m - M - 1) A / (M - 1) of
+    the module docstring, with a binary-reflected Gray map.
+
+    The grid is derived, never supplied, so its mirror symmetry holds by
+    construction: ``amplitudes[::-1] == -amplitudes`` bit for bit.
 
     Attributes
     ----------
     order_m : modulation order M (power of two, >= 2)
     peak_a : peak amplitude A in amperes (drive-current units)
-    amplitudes : the M symbol amplitudes in strictly increasing order
-    gray_labels : per-symbol bit strings of length log2(M); adjacent labels
-        differ in exactly one bit
-    gray_codes : the labels as integers, derived from ``gray_labels``
+    amplitudes : the M symbol amplitudes in increasing order, read-only
+    gray_labels : per-symbol bit strings of length log2(M) in amplitude
+        order; adjacent labels differ in exactly one bit
+    gray_codes : the labels as integers
     """
 
     order_m: int
     peak_a: float
-    amplitudes: np.ndarray
-    gray_labels: tuple[str, ...]
+    amplitudes: np.ndarray = field(init=False, repr=False)
+    gray_labels: tuple[str, ...] = field(init=False, repr=False)
     gray_codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "order_m", check_power_of_two("order_m", self.order_m))
-        check_positive("peak_a", self.peak_a)
-        # a read-only copy: the error-rate kernel caches pair gaps per constellation
-        amps = np.array(self.amplitudes, dtype=float)
+        m = check_power_of_two("order_m", self.order_m)
+        a = check_positive("peak_a", self.peak_a)
+        # read-only: the error-rate kernel caches pair gaps per constellation
+        amps = (2 * np.arange(1, m + 1) - m - 1) * (a / (m - 1))
         amps.setflags(write=False)
-        if amps.shape != (self.order_m,):
-            raise ConfigError("amplitudes must have length order_m")
-        if not np.all(np.diff(amps) > 0):
-            raise ConfigError("amplitudes must be strictly increasing")
-        if np.abs(amps).max() > self.peak_a * (1 + 1e-12):
-            raise ConfigError("amplitudes exceed the peak amplitude")
-        if len(self.gray_labels) != self.order_m:
-            raise ConfigError("one Gray label per symbol required")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "gray_codes", np.array(
-            [int(lbl, 2) for lbl in self.gray_labels], dtype=np.int64))
+        codes = [k ^ (k >> 1) for k in range(m)]
+        labels = tuple(format(k, f"0{m.bit_length() - 1}b") for k in codes)
+        for name, value in (("order_m", m), ("peak_a", a), ("amplitudes", amps),
+                            ("gray_labels", labels),
+                            ("gray_codes", np.array(codes, dtype=np.int64))):
+            object.__setattr__(self, name, value)
 
     @property
     def bits_per_symbol(self) -> int:
         return self.order_m.bit_length() - 1
-
-
-def build_constellation(order_m: int, peak_a: float) -> PamConstellation:
-    """Build the M-PAM constellation a_m = (2m - M - 1) A / (M - 1).
-
-    Rejects modulation orders that are odd or not a power of two.  The Gray
-    labeling is the canonical binary-reflected code, assigned in amplitude
-    order so that adjacent symbols always differ in a single bit.
-    """
-    m = check_power_of_two("order_m", order_m)
-    a = check_positive("peak_a", peak_a)
-    idx = np.arange(1, m + 1)
-    amplitudes = (2 * idx - m - 1) * (a / (m - 1)) if m > 2 else np.array([-a, a])
-    bits = int(np.log2(m))
-    labels = tuple(format(k ^ (k >> 1), f"0{bits}b") for k in range(m))
-    return PamConstellation(order_m=m, peak_a=a, amplitudes=amplitudes,
-                            gray_labels=labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,9 +141,9 @@ def symmetry_residual(p) -> np.ndarray:
 def signed_amplitude_mean(constellation: PamConstellation, p) -> float:
     """a^T p computed pairwise over mirror symbols.
 
-    Folding the sum over (m, M-m+1) pairs makes the result exactly zero for a
-    symmetric distribution, since mirrored amplitudes are exact negations.
-    A vector whose length is not M raises ConfigError.
+    Every ``PamConstellation`` grid is mirror-symmetric, so the fold over
+    (m, M-m+1) pairs is a^T p, and it is exactly zero for a symmetric
+    distribution.  A vector whose length is not M raises ConfigError.
     """
     arr = as_probs(p, constellation.order_m)
     a = constellation.amplitudes

@@ -46,7 +46,6 @@ __all__ = [
     "grad_ber_upper",
     "grad_ber_approx",
     "hess_ber_approx",
-    "pair_term_value",
     "pair_hessian_block",
 ]
 
@@ -59,19 +58,16 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class PairwiseGeometry:
-    """Signed pairwise received distance d (A) and noise sigma (A).
-
-    ``d = +inf`` / ``-inf`` encode the missing competitors beyond the first and
-    last symbol of the grid; ``nan`` is rejected.
-    """
+    """Signed pairwise received distance d (A) and noise sigma (A); a ``d``
+    that is zero or not finite raises ConfigError."""
 
     d: float
     sigma: float
 
     def __post_init__(self):
         check_positive("sigma", self.sigma)
-        if math.isnan(self.d):
-            raise ConfigError("pairwise distance must not be nan")
+        if not math.isfinite(self.d):
+            raise ConfigError(f"pairwise distance must be finite, got {self.d}")
         if self.d == 0.0:
             raise ConfigError("pairwise distance must be nonzero for m != n")
 
@@ -86,8 +82,6 @@ def _erfc_arg(p_m: float, p_n: float, d: float, sigma: float) -> float:
         return math.inf
     if p_m == 0.0:
         return -math.inf
-    if math.isinf(d):
-        return math.inf
     return (2.0 * sigma**2 * math.log(p_m / p_n) + d * d) \
         / (2.0 * _SQRT2 * sigma * abs(d))
 
@@ -136,9 +130,13 @@ def _pair_sum(c: PamConstellation, p, link, adjacent: bool, order: int):
     - 1/2) b b^T``, ``b = e_m / p_m - e_n / p_n``.  Both orders of a pair share
     ``b b^T`` and ``p_m g``, so their log terms cancel: with ``w = -p_m g / 2``
     the Hessian is ``B^T diag(w) B``, rounding no cancellation.  The
-    derivatives require an interior point.
+    derivatives require an interior point, and every order a positive gain:
+    at zero gain (a receiver outside its field of view) ``u`` is 0/0.
     """
     probs, m = as_probs(p, c.order_m), c.order_m
+    if link.composite_gain == 0:
+        raise ConfigError("the error-rate bounds need a positive link gain, got "
+                          "zero (is the receiver outside its field of view?)")
     lowest = probs.min()
     if order and lowest < ACTIVE_SUPPORT_FLOOR:
         raise ConfigError(
@@ -202,13 +200,6 @@ def hess_ber_approx(c: PamConstellation, p, link) -> np.ndarray:
     """Analytic Hessian of ber_approx at an interior point: half the sum of
     ``pair_hessian_block`` over the adjacent pairs, over log2(M)."""
     return _pair_sum(c, p, link, adjacent=True, order=2) / c.bits_per_symbol
-
-
-def pair_term_value(p_m: float, p_n: float, geom: PairwiseGeometry) -> float:
-    """g(p_m, p_n) = p_m erfc(u_mn) + p_n erfc(u_nm), one symmetric pair term."""
-    u_mn = _erfc_arg(p_m, p_n, geom.d, geom.sigma)
-    u_nm = _erfc_arg(p_n, p_m, geom.d, geom.sigma)
-    return p_m * math.erfc(u_mn) + p_n * math.erfc(u_nm)
 
 
 def pair_hessian_block(p_m: float, p_n: float, geom: PairwiseGeometry) -> np.ndarray:

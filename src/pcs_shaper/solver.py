@@ -54,7 +54,7 @@ import numpy as np
 from .capacity import EntropyGrid, GAUSS_ENTROPY_STD
 from .channel import LinkBudget
 from .constellation import INACTIVE_FLOOR, ConstraintSet, Distribution, PamConstellation, \
-    signed_amplitude_mean, symmetry_residual
+    as_probs, signed_amplitude_mean, symmetry_residual
 from .error_rate import ACTIVE_SUPPORT_FLOOR, ber_approx, ber_upper_bound, \
     grad_ber_approx, grad_ber_upper, hess_ber_approx
 from .exceptions import ConfigError, DegradedRegimeError, InfeasibleError, \
@@ -742,10 +742,11 @@ def _run_single_start(obj: _Objective, start: np.ndarray, settings: CccpSettings
                "objective": trace[-1], "trace": trace, "inner_stops": dict(inner_stops)}
 
 
-def feasibility_report(problem: DesignProblem, p: np.ndarray) -> dict[str, float]:
-    """The BER bound of the design ``p`` and its constraint margins: BER and
-    flicker or symmetry."""
+def feasibility_report(problem: DesignProblem, p) -> dict[str, float]:
+    """The BER bound of the design ``p`` (a Distribution or an array-like of
+    length M) and its constraint margins: BER and flicker or symmetry."""
     c = problem.constellation
+    p = as_probs(p, c.order_m)
     ber = ber_upper_bound(c, p, problem.bob_link)
     report = {
         "ber_upper": ber,

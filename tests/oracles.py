@@ -1,5 +1,6 @@
-"""Eavesdropper-position oracles: independent checks on the closed-form
-average gain and on the average-eavesdropper secrecy bound.
+"""Test oracles: independent checks on the closed-form average gain and on
+the average-eavesdropper secrecy bound, and the scalar pair term whose
+Hessian ``error_rate.pair_hessian_block`` gives.
 
 The package models an eavesdropper of unknown position only through
 ``channel.average_eve_gain``; these sample or integrate over the positions
@@ -13,6 +14,7 @@ from scipy.integrate import quad
 
 from pcs_shaper.capacity import MixtureModel, channel_capacity
 from pcs_shaper.channel import _eve_gain_prefactor, noise_variance
+from pcs_shaper.error_rate import _erfc_arg
 from pcs_shaper.exceptions import ConfigError, NonConvergenceError
 from pcs_shaper.montecarlo import _chunk_rng
 from pcs_shaper.validation import check_integer
@@ -70,3 +72,11 @@ def avg_secrecy_capacity_mc(p, bob, eve_links, c) -> tuple[float, float]:
     vals = np.array([cap_b - channel_capacity(MixtureModel.from_link(c, p, link))
                      for link in eve_links])
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
+
+
+def pair_term_value(p_m: float, p_n: float, geom) -> float:
+    """g(p_m, p_n) = p_m erfc(u_mn) + p_n erfc(u_nm), one symmetric pair term
+    of the SER sum at the ``error_rate.PairwiseGeometry`` ``geom``."""
+    u_mn = _erfc_arg(p_m, p_n, geom.d, geom.sigma)
+    u_nm = _erfc_arg(p_n, p_m, geom.d, geom.sigma)
+    return p_m * math.erfc(u_mn) + p_n * math.erfc(u_nm)

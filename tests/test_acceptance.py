@@ -16,14 +16,13 @@ from scipy.special import erfc
 from pcs_shaper.capacity import EntropyGrid, GAUSS_ENTROPY_STD, secrecy_capacity
 from pcs_shaper.channel import LinkBudget, average_eve_gain, hyp2f1
 from pcs_shaper.constellation import ConstraintSet, Distribution, \
-    build_constellation, signed_amplitude_mean, symmetry_residual
+    PamConstellation, signed_amplitude_mean, symmetry_residual
 from pcs_shaper.error_rate import (
     PairwiseGeometry,
     ber_approx,
     ber_upper_bound,
     grad_ber_upper,
     pair_hessian_block,
-    pair_term_value,
     pairwise_error_prob,
     ser_approx,
     ser_upper_bound,
@@ -32,7 +31,7 @@ from pcs_shaper.montecarlo import SimConfig, pairwise_error_mc, simulate_error_r
 from pcs_shaper.solver import CccpSettings, DesignProblem, solve
 
 from conftest import dirichlet_interior, links_at_dbm
-from oracles import average_eve_gain_quadrature
+from oracles import average_eve_gain_quadrature, pair_term_value
 
 THRESHOLD = 3.8e-3
 ALPHA = 0.01
@@ -57,7 +56,7 @@ def _paper_problem(power_dbm, receiver, noise_params, variant="known_csi",
                    mode="flicker", m=8):
     led, bob, eve, eve_avg, power = links_at_dbm(power_dbm, receiver,
                                                  noise_params, ratio=10.0)
-    c = build_constellation(m, led.peak_amplitude)
+    c = PamConstellation(m, led.peak_amplitude)
     known = variant in ("known_csi", "qos_max_eve_ber")
     problem = DesignProblem(
         variant=variant, constellation=c, bob_link=bob, dc_bias=led.dc_bias,
@@ -86,7 +85,7 @@ def test_criterion_01_pairwise_closed_form_vs_event_simulation():
     n_samples = 10_000_000
     for _ in range(50):
         m = int(rng.choice([4, 8]))
-        c = build_constellation(m, float(rng.uniform(1.0, 7.0)))
+        c = PamConstellation(m, float(rng.uniform(1.0, 7.0)))
         p = rng.dirichlet(np.ones(m))
         i, j = rng.choice(m, size=2, replace=False)
         geom = PairwiseGeometry(
@@ -114,7 +113,7 @@ def test_criterion_02_bound_ordering_and_approximation_fit():
         m = 4 if trial % 2 == 0 else 8
         p = Distribution(rng.dirichlet(np.ones(m)))
         for a_peak, is_low in zip(amplitudes, low_half):
-            c = build_constellation(m, float(a_peak))
+            c = PamConstellation(m, float(a_peak))
             stats = simulate_error_rates(SimConfig(
                 n_symbols=200_000, seed=int(rng.integers(2**31)), link=link,
                 constellation=c, distribution=p))
@@ -137,7 +136,7 @@ def test_criterion_03_concavity_and_hessian_structure():
     for fun in (ber_upper_bound, ber_approx):
         for _ in range(1000):
             m = int(rng.choice([4, 8]))
-            c = build_constellation(m, float(rng.uniform(0.5, 8.0)))
+            c = PamConstellation(m, float(rng.uniform(0.5, 8.0)))
             link = LinkBudget(composite_gain=float(rng.uniform(0.3, 3.0)),
                               sigma=float(rng.uniform(0.2, 1.5)))
             p1 = dirichlet_interior(rng, m)
@@ -173,7 +172,7 @@ def test_criterion_04_gradient_matches_finite_differences():
     h = 1e-6
     for _ in range(200):
         m = int(rng.choice([4, 8]))
-        c = build_constellation(m, float(rng.uniform(1.0, 6.0)))
+        c = PamConstellation(m, float(rng.uniform(1.0, 6.0)))
         link = LinkBudget(composite_gain=float(rng.uniform(0.3, 2.0)),
                           sigma=float(rng.uniform(0.3, 1.5)))
         p = dirichlet_interior(rng, m, floor=0.02)
@@ -226,7 +225,7 @@ def test_criterion_07_small_instance_global_check(receiver, noise_params):
     t_start = time.monotonic()
     power = 25.0
     led, bob, eve, eve_avg, _ = links_at_dbm(power, receiver, noise_params)
-    c = build_constellation(4, led.peak_amplitude)
+    c = PamConstellation(4, led.peak_amplitude)
     a = c.amplitudes
 
     # exhaustive step-0.02 simplex grid with exact constraint checks

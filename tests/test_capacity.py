@@ -24,7 +24,7 @@ from pcs_shaper.capacity import (
     secrecy_lb_estimate,
 )
 from pcs_shaper.channel import LinkBudget
-from pcs_shaper.constellation import build_constellation
+from pcs_shaper.constellation import PamConstellation
 from pcs_shaper.exceptions import ConfigError, DegradedRegimeError
 from pcs_shaper.montecarlo import _chunk_rng
 
@@ -327,7 +327,7 @@ def test_entropy_panels_tile_the_windows_and_skip_the_gaps(mu):
 def test_grid_skips_the_gaps_between_far_apart_windows(receiver, noise_params):
     # M=8 at 35 dBm: neighbouring means about 34 sigma apart
     led, bob, *_ = links_at_dbm(35.0, receiver, noise_params)
-    c = build_constellation(8, led.peak_amplitude)
+    c = PamConstellation(8, led.peak_amplitude)
     means = bob.composite_gain * c.amplitudes
     grid = EntropyGrid(means, bob.sigma)
     assert grid._y.size <= 2560
@@ -369,7 +369,7 @@ def _stack_instances(draw):
 def test_stacked_grid_has_the_bits_of_two_grids(case, receiver, noise_params):
     m, power, p = case
     led, bob, eve, _, _ = links_at_dbm(power, receiver, noise_params)
-    a = build_constellation(m, led.peak_amplitude).amplitudes
+    a = PamConstellation(m, led.peak_amplitude).amplitudes
     gb = EntropyGrid(bob.composite_gain * a, bob.sigma)
     ge = EntropyGrid(eve.composite_gain * a, eve.sigma)
     hb, grad_b = gb.entropy_and_gradient(p)
@@ -382,7 +382,7 @@ def test_stacked_grid_has_the_bits_of_two_grids(case, receiver, noise_params):
 def _paper_grids(m, power, receiver, noise_params):
     """Bob's and Eve's grids of the paper links, with their standardized means."""
     led, bob, eve, _, _ = links_at_dbm(power, receiver, noise_params)
-    a = build_constellation(m, led.peak_amplitude).amplitudes
+    a = PamConstellation(m, led.peak_amplitude).amplitudes
     return [(EntropyGrid(link.composite_gain * a, link.sigma),
              link.composite_gain * a / link.sigma) for link in (bob, eve)]
 
@@ -424,7 +424,7 @@ def test_grid_gradient_grows_with_distance_from_the_active_symbol(receiver, nois
 
 def test_capacity_zero_for_single_symbol(receiver, noise_params):
     _, bob, _, _, _ = links_at_dbm(30.0, receiver, noise_params)
-    c = build_constellation(8, 2.0)
+    c = PamConstellation(8, 2.0)
     w = np.zeros(8)
     w[2] = 1.0
     mm = MixtureModel.from_link(c, w, bob)
@@ -432,7 +432,7 @@ def test_capacity_zero_for_single_symbol(receiver, noise_params):
 
 
 def test_capacity_saturates_at_log2_m_when_noiseless():
-    c = build_constellation(8, 1.0)
+    c = PamConstellation(8, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=1e-4)
     mm = MixtureModel.from_link(c, np.ones(8) / 8, link)
     assert channel_capacity(mm) == pytest.approx(3.0, abs=1e-6)
@@ -441,7 +441,7 @@ def test_capacity_saturates_at_log2_m_when_noiseless():
 def test_capacity_bounds_hold_on_random_inputs(receiver, noise_params):
     rng = np.random.default_rng(79)
     _, bob, _, _, _ = links_at_dbm(26.0, receiver, noise_params)
-    c = build_constellation(8, 0.9)
+    c = PamConstellation(8, 0.9)
     for _ in range(10):
         w = rng.dirichlet(np.ones(8))
         cap = channel_capacity(MixtureModel.from_link(c, w, bob))
@@ -450,14 +450,14 @@ def test_capacity_bounds_hold_on_random_inputs(receiver, noise_params):
 
 def test_secrecy_zero_when_links_identical(receiver, noise_params):
     _, bob, _, _, _ = links_at_dbm(28.0, receiver, noise_params)
-    c = build_constellation(8, 1.44)
+    c = PamConstellation(8, 1.44)
     p = np.ones(8) / 8
     assert secrecy_capacity(p, bob, bob, c) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_secrecy_zero_for_single_active_symbol(receiver, noise_params):
     _, bob, eve, _, _ = links_at_dbm(28.0, receiver, noise_params)
-    c = build_constellation(8, 1.44)
+    c = PamConstellation(8, 1.44)
     w = np.zeros(8)
     w[5] = 1.0
     assert secrecy_capacity(w, bob, eve, c) == pytest.approx(0.0, abs=1e-9)
@@ -465,7 +465,7 @@ def test_secrecy_zero_for_single_active_symbol(receiver, noise_params):
 
 def test_secrecy_uniform_golden_and_sampling_cross_check(receiver, noise_params):
     led, bob, eve, _, _ = links_at_dbm(30.0, receiver, noise_params, ratio=10.0)
-    c = build_constellation(8, led.peak_amplitude)
+    c = PamConstellation(8, led.peak_amplitude)
     p = np.ones(8) / 8
     cs = secrecy_capacity(p, bob, eve, c)
     assert cs == pytest.approx(CS_UNIFORM_8PAM_30DBM_GOLDEN, abs=1e-9)
@@ -478,7 +478,7 @@ def test_secrecy_uniform_golden_and_sampling_cross_check(receiver, noise_params)
 
 def test_secrecy_rejects_reversed_degradedness(receiver, noise_params):
     _, bob, eve, _, _ = links_at_dbm(30.0, receiver, noise_params)
-    c = build_constellation(8, 1.0)
+    c = PamConstellation(8, 1.0)
     with pytest.raises(DegradedRegimeError):
         secrecy_capacity(np.ones(8) / 8, eve, bob, c)
 
@@ -486,7 +486,7 @@ def test_secrecy_rejects_reversed_degradedness(receiver, noise_params):
 def test_output_entropy_midpoint_concavity(receiver, noise_params):
     rng = np.random.default_rng(83)
     _, bob, _, _, _ = links_at_dbm(25.0, receiver, noise_params)
-    c = build_constellation(8, 0.72)
+    c = PamConstellation(8, 0.72)
     grid = EntropyGrid(bob.composite_gain * c.amplitudes, bob.sigma)
     for _ in range(500):
         p1 = rng.dirichlet(np.ones(8))
@@ -498,7 +498,7 @@ def test_output_entropy_midpoint_concavity(receiver, noise_params):
 def test_secrecy_capacity_midpoint_concavity(receiver, noise_params):
     rng = np.random.default_rng(89)
     led, bob, eve, _, _ = links_at_dbm(27.0, receiver, noise_params, ratio=10.0)
-    c = build_constellation(8, led.peak_amplitude)
+    c = PamConstellation(8, led.peak_amplitude)
     gb = EntropyGrid(bob.composite_gain * c.amplitudes, bob.sigma)
     ge = EntropyGrid(eve.composite_gain * c.amplitudes, eve.sigma)
 
@@ -513,7 +513,7 @@ def test_secrecy_capacity_midpoint_concavity(receiver, noise_params):
 
 def test_lb_estimate_symmetric_distribution(receiver, noise_params):
     led, bob, _, eve_avg, _ = links_at_dbm(28.0, receiver, noise_params)
-    c = build_constellation(8, led.peak_amplitude)
+    c = PamConstellation(8, led.peak_amplitude)
     p = np.ones(8) / 8
     got = secrecy_lb_estimate(p, bob, eve_avg, c)
     cap_b = channel_capacity(MixtureModel.from_link(c, p, bob))
@@ -525,7 +525,7 @@ def test_lb_estimate_symmetric_distribution(receiver, noise_params):
 def test_lb_estimate_is_a_lower_bound(receiver, noise_params):
     rng = np.random.default_rng(97)
     led, bob, _, eve_avg, _ = links_at_dbm(27.0, receiver, noise_params)
-    c = build_constellation(8, led.peak_amplitude)
+    c = PamConstellation(8, led.peak_amplitude)
     for _ in range(20):
         p = rng.dirichlet(np.ones(8))
         lb = secrecy_lb_estimate(p, bob, eve_avg, c)
@@ -535,7 +535,7 @@ def test_lb_estimate_is_a_lower_bound(receiver, noise_params):
 
 def test_bhatia_davis_variance_bound():
     rng = np.random.default_rng(101)
-    c = build_constellation(8, 2.2)
+    c = PamConstellation(8, 2.2)
     a = c.amplitudes
     for _ in range(1000):
         p = rng.dirichlet(np.ones(8))
@@ -547,7 +547,7 @@ def test_bhatia_davis_variance_bound():
 
 def test_avg_secrecy_degenerate_sampler(receiver, noise_params):
     led, bob, eve, _, _ = links_at_dbm(30.0, receiver, noise_params, ratio=10.0)
-    c = build_constellation(8, led.peak_amplitude)
+    c = PamConstellation(8, led.peak_amplitude)
     p = np.ones(8) / 8
     mean, se = avg_secrecy_capacity_mc(p, bob, [eve] * 4, c)
     assert se == 0.0
@@ -560,7 +560,7 @@ def test_avg_secrecy_degenerate_sampler(receiver, noise_params):
 
 def test_avg_secrecy_dominates_bound_under_shared_positions(receiver, noise_params):
     led, bob, _, _, power = links_at_dbm(27.0, receiver, noise_params)
-    c = build_constellation(8, led.peak_amplitude)
+    c = PamConstellation(8, led.peak_amplitude)
     p = np.ones(8) / 8
     links = list(map(LinkBudget, *sample_eve_positions(64, led, receiver, noise_params,
                                                        power, seed=9)))
@@ -574,7 +574,7 @@ def test_avg_secrecy_dominates_bound_under_shared_positions(receiver, noise_para
 
 def test_avg_secrecy_stderr_scaling(receiver, noise_params):
     led, bob, _, _, power = links_at_dbm(27.0, receiver, noise_params)
-    c = build_constellation(4, led.peak_amplitude)
+    c = PamConstellation(4, led.peak_amplitude)
     p = np.ones(4) / 4
     links = list(map(LinkBudget, *sample_eve_positions(1024, led, receiver, noise_params,
                                                        power, seed=4)))

@@ -19,7 +19,7 @@ from pcs_shaper.channel import (
     link_budget_from_geometry,
 )
 from pcs_shaper.capacity import MixtureModel
-from pcs_shaper.constellation import ConstraintSet, build_constellation
+from pcs_shaper.constellation import ConstraintSet, PamConstellation
 from pcs_shaper.exceptions import ConfigError
 from pcs_shaper.solver import DesignProblem
 
@@ -267,7 +267,7 @@ _NUMERIC = {
                                        preamp_density=5e-12),
     "distance": lambda v: LinkGeometry(distance=v),
     "dc_bias": lambda v: DesignProblem(
-        variant="known_csi", constellation=build_constellation(4, 1.0),
+        variant="known_csi", constellation=PamConstellation(4, 1.0),
         bob_link=LinkBudget(composite_gain=1.0, sigma=1.0), dc_bias=v,
         eve_link=LinkBudget(composite_gain=0.5, sigma=1.0)),
 }

@@ -321,6 +321,15 @@ def test_degraded_regime_exit_code(tmp_path):
     assert run(str(path), out_dir=str(tmp_path)) == EXIT_DEGRADED
 
 
+def test_eavesdropper_outside_the_field_of_view_is_a_config_error(tmp_path, capsys):
+    # 20 m off the nadir the eavesdropper's gain is zero, so its BER is undefined
+    cfg = mini_config(scenario="design_qos", power_dbm=[27.0], output="qos.csv")
+    cfg["eve"] = {"radial_offset": 20.0}
+    path = write_config(tmp_path, cfg)
+    assert run(str(path), out_dir=str(tmp_path)) == EXIT_CONFIG
+    assert "positive link gain, got zero" in capsys.readouterr().err
+
+
 def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     def stalled(problem, settings):
         raise NonConvergenceError("inner solve stalled")

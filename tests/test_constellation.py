@@ -9,7 +9,6 @@ from pcs_shaper.constellation import (
     ConstraintSet,
     Distribution,
     PamConstellation,
-    build_constellation,
     signed_amplitude_mean,
     symmetry_residual,
 )
@@ -30,25 +29,27 @@ def flicker_excess(c, p, led, alpha: float) -> float:
 
 
 def test_binary_endpoints():
-    c = build_constellation(2, 1.0)
+    c = PamConstellation(2, 1.0)
     assert np.array_equal(c.amplitudes, [-1.0, 1.0])
     assert c.gray_labels == ("0", "1")
+    for peak in np.exp(np.random.default_rng(2).uniform(-12.0, 12.0, size=200)):
+        assert PamConstellation(2, peak).amplitudes.tolist() == [-peak, peak]
 
 
 def test_four_pam_grid():
-    c = build_constellation(4, 3.0)
+    c = PamConstellation(4, 3.0)
     assert np.allclose(c.amplitudes, [-3.0, -1.0, 1.0, 3.0], rtol=0, atol=0)
 
 
 def test_eight_pam_grid():
-    c = build_constellation(8, 1.0)
+    c = PamConstellation(8, 1.0)
     want = np.array([-1, -5 / 7, -3 / 7, -1 / 7, 1 / 7, 3 / 7, 5 / 7, 1.0])
     assert np.allclose(c.amplitudes, want, rtol=1e-15)
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
 def test_amplitude_invariants(m):
-    c = build_constellation(m, 2.5)
+    c = PamConstellation(m, 2.5)
     assert c.amplitudes.sum() == pytest.approx(0.0, abs=1e-12)
     assert np.abs(c.amplitudes).max() == 2.5
     assert np.all(np.diff(c.amplitudes) > 0)
@@ -58,7 +59,7 @@ def test_amplitude_invariants(m):
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
 def test_gray_labels_adjacent_single_bit(m):
-    c = build_constellation(m, 1.0)
+    c = PamConstellation(m, 1.0)
     bits = int(math.log2(m))
     assert all(len(lbl) == bits for lbl in c.gray_labels)
     assert len(set(c.gray_labels)) == m
@@ -69,34 +70,50 @@ def test_gray_labels_adjacent_single_bit(m):
 @pytest.mark.parametrize("m", [1, 3, 6, 12, 0])
 def test_rejects_non_power_of_two(m):
     with pytest.raises(ConfigError):
-        build_constellation(m, 1.0)
+        PamConstellation(m, 1.0)
 
 
 @pytest.mark.parametrize("m", [8.7, 8.0, "8", True, None])
 def test_rejects_non_integer_modulation_orders(m):
     # a float or a string is not truncated to a neighbouring order
     with pytest.raises(ConfigError, match="order_m must be an integer"):
-        build_constellation(m, 1.0)
+        PamConstellation(m, 1.0)
     with pytest.raises(ConfigError, match="^m must be an integer"):
         check_power_of_two("m", m)
 
 
 def test_power_of_two_accepts_numpy_integers():
     assert check_power_of_two("m", np.int64(16)) == 16
-    assert build_constellation(np.int32(4), 1.0).order_m == 4
+    assert PamConstellation(np.int32(4), 1.0).order_m == 4
 
 
 def test_gray_codes_come_from_the_labels():
-    c = build_constellation(8, 1.0)
+    c = PamConstellation(8, 1.0)
     assert [format(k, "03b") for k in c.gray_codes] == list(c.gray_labels)
-    with pytest.raises(TypeError):
-        PamConstellation(order_m=2, peak_a=1.0, amplitudes=[-1.0, 1.0],
-                         gray_labels=("0", "1"), gray_codes=np.array([1, 0]))
+    # the grid and its labels are derived, never supplied
+    for derived in ({"amplitudes": [-1.0, 1.0]}, {"gray_labels": ("0", "1")},
+                    {"gray_codes": np.array([1, 0])}):
+        with pytest.raises(TypeError):
+            PamConstellation(2, 1.0, **derived)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
+def test_every_grid_is_mirror_symmetric_so_the_fold_is_the_mean(m):
+    rng = np.random.default_rng(m)
+    for peak in np.exp(rng.uniform(-12.0, 12.0, size=40)):
+        c = PamConstellation(m, peak)
+        a = c.amplitudes
+        assert np.array_equal(a[::-1], -a)
+        # (M - 1) * (A / (M - 1)) rounds twice, so the ends may miss A by an ulp
+        assert abs(a[-1] - peak) <= np.spacing(peak)
+        assert not a.flags.writeable
+        for p in rng.dirichlet(np.full(m, 0.3), size=5):
+            assert abs(signed_amplitude_mean(c, p) - a @ p) <= 1e-13 * peak
 
 
 def test_flicker_uniform_is_slack():
     led = led_at_dbm(30.0)
-    c = build_constellation(8, led.peak_amplitude)
+    c = PamConstellation(8, led.peak_amplitude)
     p = Distribution.uniform(8).probs
     assert flicker_excess(c, p, led, 0.01) == pytest.approx(
         -0.01 * led.dc_bias, abs=1e-18)
@@ -105,7 +122,7 @@ def test_flicker_uniform_is_slack():
 def test_flicker_symmetric_is_exactly_slack():
     rng = np.random.default_rng(3)
     led = led_at_dbm(27.0)
-    c = build_constellation(8, led.peak_amplitude)
+    c = PamConstellation(8, led.peak_amplitude)
     for _ in range(50):
         half = rng.dirichlet(np.ones(4)) / 2.0
         p = np.concatenate([half, half[::-1]])
@@ -115,7 +132,7 @@ def test_flicker_symmetric_is_exactly_slack():
 
 def test_flicker_peak_symbol_violates():
     led = led_at_dbm(30.0)
-    c = build_constellation(8, 1.0)
+    c = PamConstellation(8, 1.0)
     p = np.zeros(8)
     p[-1] = 1.0
     assert flicker_excess(c, p, led, 0.0) == pytest.approx(1.0, rel=1e-15)
@@ -131,7 +148,7 @@ def test_symmetry_residual_examples():
 def test_symmetric_implies_flicker_free():
     rng = np.random.default_rng(4)
     led = led_at_dbm(25.0)
-    c = build_constellation(16, led.peak_amplitude)
+    c = PamConstellation(16, led.peak_amplitude)
     for _ in range(100):
         half = rng.dirichlet(np.ones(8)) / 2.0
         p = np.concatenate([half, half[::-1]])
@@ -142,7 +159,7 @@ def test_symmetric_implies_flicker_free():
 def test_probability_vector_of_the_wrong_length_is_a_config_error():
     # the mirror fold would pair the ends of a length-5 vector without error,
     # and the MAP lookup would index past the constellation
-    c = build_constellation(4, 1.0)
+    c = PamConstellation(4, 1.0)
     p = [0.1, 0.2, 0.3, 0.2, 0.2]
     with pytest.raises(ConfigError, match="length 4, got 5"):
         signed_amplitude_mean(c, p)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfc
 
 from pcs_shaper.channel import LinkBudget
-from pcs_shaper.constellation import Distribution, PamConstellation, build_constellation
+from pcs_shaper.constellation import Distribution, PamConstellation
 from pcs_shaper.error_rate import (
     ACTIVE_SUPPORT_FLOOR,
     PairwiseGeometry,
@@ -17,7 +17,6 @@ from pcs_shaper.error_rate import (
     grad_ber_upper,
     hess_ber_approx,
     pair_hessian_block,
-    pair_term_value,
     pairwise_error_prob,
     ser_approx,
     ser_upper_bound,
@@ -27,6 +26,7 @@ from pcs_shaper.exceptions import ConfigError
 from pcs_shaper.montecarlo import SimConfig, pairwise_error_mc, simulate_error_rates
 
 from conftest import dirichlet_interior
+from oracles import pair_term_value
 
 
 def random_link(rng) -> LinkBudget:
@@ -46,13 +46,10 @@ def test_pairwise_inactive_competitor_never_wins():
     assert pairwise_error_prob(0.0, 0.4, geom) == 1.0
 
 
-def test_pairwise_rejects_nan_distance_and_keeps_infinite_ones():
-    with pytest.raises(ConfigError):
-        PairwiseGeometry(d=math.nan, sigma=1.0)
-    for d in (math.inf, -math.inf):         # a missing competitor never wins
-        geom = PairwiseGeometry(d=d, sigma=1.0)
-        assert pairwise_error_prob(0.3, 0.7, geom) == 0.0
-        assert pairwise_error_mc(0.3, 0.7, geom, 1000, seed=2) == (0.0, 0.0)
+def test_pairwise_rejects_non_finite_distances():
+    for d in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="pairwise distance must be finite"):
+            PairwiseGeometry(d=d, sigma=1.0)
 
 
 # erfc(u) rounded to double from a 50-digit evaluation
@@ -94,7 +91,7 @@ def test_pairwise_matches_event_simulation():
 
 
 def test_binary_bound_is_the_exact_antipodal_error_rate():
-    c = build_constellation(2, 1.0)
+    c = PamConstellation(2, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.5)
     p = np.array([0.5, 0.5])
     d = link.composite_gain * 2.0
@@ -108,7 +105,7 @@ def test_binary_bound_is_the_exact_antipodal_error_rate():
 
 
 def test_single_active_symbol_has_zero_bound():
-    c = build_constellation(4, 2.0)
+    c = PamConstellation(4, 2.0)
     link = LinkBudget(composite_gain=1.0, sigma=1.0)
     p = np.array([0.0, 1.0, 0.0, 0.0])
     assert ser_upper_bound(c, p, link) == 0.0
@@ -118,7 +115,7 @@ def test_single_active_symbol_has_zero_bound():
 def test_bound_within_ten_percent_of_simulation_at_high_amplitude():
     rng = np.random.default_rng(23)
     link = LinkBudget(composite_gain=1.0, sigma=1.0)
-    c = build_constellation(4, 9.0)
+    c = PamConstellation(4, 9.0)
     for _ in range(3):
         p = dirichlet_interior(rng, 4, floor=0.05)
         sim = simulate_error_rates(SimConfig(n_symbols=2_000_000,
@@ -133,13 +130,13 @@ def test_bound_within_ten_percent_of_simulation_at_high_amplitude():
 def test_ber_monotone_decreasing_in_peak_amplitude():
     link = LinkBudget(composite_gain=1.0, sigma=1.0)
     p = np.ones(8) / 8
-    vals = [ber_upper_bound(build_constellation(8, a), p, link)
+    vals = [ber_upper_bound(PamConstellation(8, a), p, link)
             for a in np.linspace(1.0, 12.0, 12)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_approx_equals_bound_for_binary():
-    c = build_constellation(2, 1.5)
+    c = PamConstellation(2, 1.5)
     link = LinkBudget(composite_gain=1.0, sigma=0.7)
     p = np.array([0.3, 0.7])
     assert ser_approx(c, p, link) == pytest.approx(
@@ -149,7 +146,7 @@ def test_approx_equals_bound_for_binary():
 def test_approx_never_exceeds_bound():
     rng = np.random.default_rng(31)
     for m in (4, 8):
-        c = build_constellation(m, 3.0)
+        c = PamConstellation(m, 3.0)
         for _ in range(50):
             p = rng.dirichlet(np.ones(m))
             link = random_link(rng)
@@ -158,7 +155,7 @@ def test_approx_never_exceeds_bound():
 
 def test_ber_scalings():
     rng = np.random.default_rng(37)
-    c = build_constellation(8, 4.0)
+    c = PamConstellation(8, 4.0)
     p = dirichlet_interior(rng, 8)
     link = random_link(rng)
     assert ber_upper_bound(c, p, link) == pytest.approx(
@@ -180,7 +177,7 @@ def _fd_gradient(fun, p, h=1e-6):
 @pytest.mark.parametrize("m", [4, 8])
 def test_gradient_matches_finite_differences(m):
     rng = np.random.default_rng(41 + m)
-    c = build_constellation(m, 3.0)
+    c = PamConstellation(m, 3.0)
     for _ in range(20):
         link = random_link(rng)
         p = dirichlet_interior(rng, m, floor=0.02)
@@ -191,7 +188,7 @@ def test_gradient_matches_finite_differences(m):
 
 
 def test_gradient_symmetric_pairs_at_uniform():
-    c = build_constellation(8, 3.0)
+    c = PamConstellation(8, 3.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.8)
     g = grad_ber_upper(c, np.ones(8) / 8, link)
     assert np.allclose(g, g[::-1], rtol=1e-12)
@@ -199,7 +196,7 @@ def test_gradient_symmetric_pairs_at_uniform():
 
 def test_directional_derivative_consistency():
     rng = np.random.default_rng(43)
-    c = build_constellation(8, 3.0)
+    c = PamConstellation(8, 3.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.7)
     p = dirichlet_interior(rng, 8, floor=0.05)
     g = grad_ber_upper(c, p, link)
@@ -214,7 +211,7 @@ def test_directional_derivative_consistency():
 
 
 def test_gradient_rejects_boundary_points():
-    c = build_constellation(4, 2.0)
+    c = PamConstellation(4, 2.0)
     link = LinkBudget(composite_gain=1.0, sigma=1.0)
     with pytest.raises(ConfigError):
         grad_ber_upper(c, np.array([0.5, 0.5, 0.0, 0.0]), link)
@@ -222,10 +219,19 @@ def test_gradient_rejects_boundary_points():
 
 @pytest.mark.parametrize("kernel", [ser_upper_bound, ser_approx, ber_upper_bound, ber_approx,
                                     grad_ber_upper, grad_ber_approx, hess_ber_approx])
+def test_kernels_reject_a_zero_gain_link(kernel):
+    # equal probabilities would give u = 0/0 on every pair: nan, not a bound
+    c = PamConstellation(4, 2.0)
+    with pytest.raises(ConfigError, match="positive link gain, got zero"):
+        kernel(c, np.full(4, 0.25), LinkBudget(composite_gain=0.0, sigma=1.0))
+
+
+@pytest.mark.parametrize("kernel", [ser_upper_bound, ser_approx, ber_upper_bound, ber_approx,
+                                    grad_ber_upper, grad_ber_approx, hess_ber_approx])
 @pytest.mark.parametrize("size", [3, 5, 8])
 def test_kernels_reject_a_vector_whose_length_is_not_m(kernel, size):
     # the pair lists index only the first M entries, so a longer vector would lose the rest
-    c = build_constellation(4, 2.0)
+    c = PamConstellation(4, 2.0)
     link = LinkBudget(composite_gain=1.0, sigma=1.0)
     with pytest.raises(ConfigError, match="length 4"):
         kernel(c, np.full(size, 1.0 / size), link)
@@ -233,14 +239,9 @@ def test_kernels_reject_a_vector_whose_length_is_not_m(kernel, size):
 
 def test_approx_gradient_matches_finite_differences():
     rng = np.random.default_rng(47)
-    c = build_constellation(8, 3.0)
+    c = PamConstellation(8, 3.0)
     cases = [(c, random_link(rng), dirichlet_interior(rng, 8, floor=0.02))
              for _ in range(10)]
-    unequal = PamConstellation(order_m=4, peak_a=1.0,
-                               amplitudes=np.array([-1.0, -0.6, 0.1, 1.0]),
-                               gray_labels=build_constellation(4, 1.0).gray_labels)
-    cases.append((unequal, LinkBudget(composite_gain=1.0, sigma=0.3),
-                  np.array([0.2, 0.3, 0.35, 0.15])))
     for c, link, p in cases:
         analytic = grad_ber_approx(c, p, link)
         numeric = _fd_gradient(lambda q: ber_approx(c, q, link), p)
@@ -253,7 +254,7 @@ def test_midpoint_concavity(fun):
     rng = np.random.default_rng(53)
     for _ in range(200):
         m = int(rng.choice([4, 8]))
-        c = build_constellation(m, float(rng.uniform(0.5, 8.0)))
+        c = PamConstellation(m, float(rng.uniform(0.5, 8.0)))
         link = random_link(rng)
         p1 = dirichlet_interior(rng, m)
         p2 = dirichlet_interior(rng, m)
@@ -298,21 +299,21 @@ def _interior_instances(draw):
     probs = (1.0 - m * 1e-3) * probs + 1e-3
     link = LinkBudget(composite_gain=draw(st.floats(0.1, 3.0)),
                       sigma=draw(st.floats(0.05, 2.0)))
-    return build_constellation(m, 1.0), probs / probs.sum(), link
+    return PamConstellation(m, 1.0), probs / probs.sum(), link
 
 
 @settings(max_examples=100)
 @given(_interior_instances())
 # Phi's two-line form cancels to 1/111 of its terms' size here (kappa = 111)
-@example((build_constellation(2, 1.0), np.array([0.001, 0.999]),
+@example((PamConstellation(2, 1.0), np.array([0.001, 0.999]),
           LinkBudget(composite_gain=0.125, sigma=1.0)))
 # e^(-u^2) underflows: the Hessian's entries are subnormal, 6e-318 to 1e-314
-@example((build_constellation(2, 1.0), np.array([0.001, 0.999]),
+@example((PamConstellation(2, 1.0), np.array([0.001, 0.999]),
           LinkBudget(composite_gain=0.12890625, sigma=1.4375)))
-@example((build_constellation(2, 1.0), np.array([0.001, 0.999]),
+@example((PamConstellation(2, 1.0), np.array([0.001, 0.999]),
           LinkBudget(composite_gain=0.1, sigma=1.109375)))
 # low SNR: the gradient's third derivative is large against h
-@example((build_constellation(16, 1.0), np.full(16, 1.0 / 16),
+@example((PamConstellation(16, 1.0), np.full(16, 1.0 / 16),
           LinkBudget(composite_gain=0.125, sigma=2.0)))
 def test_approx_hessian_is_the_pair_block_sum_and_the_gradients_derivative(instance):
     c, p, link = instance
@@ -351,7 +352,7 @@ def test_approx_hessian_is_the_pair_block_sum_and_the_gradients_derivative(insta
 
 
 def test_approx_hessian_rejects_boundary_points():
-    c = build_constellation(4, 1.0)
+    c = PamConstellation(4, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.5)
     with pytest.raises(ConfigError):
         hess_ber_approx(c, np.array([0.5, 0.5, 0.0, 0.0]), link)
@@ -359,7 +360,7 @@ def test_approx_hessian_rejects_boundary_points():
 
 def test_first_order_expansion_majorizes():
     rng = np.random.default_rng(61)
-    c = build_constellation(8, 3.0)
+    c = PamConstellation(8, 3.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.9)
     for _ in range(50):
         p0 = dirichlet_interior(rng, 8, floor=0.01)
@@ -371,17 +372,9 @@ def test_first_order_expansion_majorizes():
 
 @st.composite
 def _bound_instances(draw):
-    """M-PAM with equal or unequal spacing, probabilities that may be zero."""
+    """M-PAM, probabilities that may be zero, a link."""
     m = draw(st.sampled_from([2, 4, 8, 16]))
-    grid = build_constellation(m, 1.0)
-    c = grid
-    if draw(st.booleans()):
-        gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m - 1,
-                                      max_size=m - 1)))
-        steps = np.concatenate([[0.0], np.cumsum(gaps)])
-        amps = np.clip(2.0 * steps / steps[-1] - 1.0, -1.0, 1.0)
-        c = PamConstellation(order_m=m, peak_a=1.0, amplitudes=amps,
-                             gray_labels=grid.gray_labels)
+    c = PamConstellation(m, 1.0)
     probs = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
                                    min_size=m, max_size=m)))
     if probs.sum() == 0.0:

@@ -8,7 +8,7 @@ from scipy.special import erfc
 
 from pcs_shaper.channel import LinkBudget, LinkGeometry, channel_gain, \
     link_budget_from_geometry
-from pcs_shaper.constellation import Distribution, build_constellation
+from pcs_shaper.constellation import Distribution, PamConstellation
 from pcs_shaper.error_rate import PairwiseGeometry, pairwise_error_prob, \
     ser_approx, ser_upper_bound
 from pcs_shaper.exceptions import ConfigError
@@ -28,7 +28,7 @@ from oracles import sample_eve_positions
 
 
 def test_map_detect_uniform_reduces_to_nearest_neighbor():
-    c = build_constellation(8, 1.0)
+    c = PamConstellation(8, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.1)
     rng = np.random.default_rng(5)
     y = rng.uniform(-1.3, 1.3, size=2000)
@@ -38,7 +38,7 @@ def test_map_detect_uniform_reduces_to_nearest_neighbor():
 
 
 def test_map_detect_degenerate_prior_always_wins():
-    c = build_constellation(4, 1.0)
+    c = PamConstellation(4, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.3)
     p = np.array([0.0, 0.0, 1.0, 0.0])
     y = np.linspace(-2.0, 2.0, 101)
@@ -46,7 +46,7 @@ def test_map_detect_degenerate_prior_always_wins():
 
 
 def test_map_detect_rejects_non_finite_samples():
-    c = build_constellation(4, 1.0)
+    c = PamConstellation(4, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.3)
     for y in (math.nan, np.array([0.1, np.inf]), np.array([-np.inf, 0.0])):
         with pytest.raises(ConfigError):
@@ -55,7 +55,7 @@ def test_map_detect_rejects_non_finite_samples():
 
 def test_map_decisions_satisfy_the_posterior_inequality():
     rng = np.random.default_rng(7)
-    c = build_constellation(8, 2.0)
+    c = PamConstellation(8, 2.0)
     link = LinkBudget(composite_gain=0.8, sigma=0.5)
     p = dirichlet_interior(rng, 8, floor=0.01)
     means = link.composite_gain * c.amplitudes
@@ -92,7 +92,7 @@ def _detection_instances(draw):
 @given(_detection_instances())
 def test_map_detect_matches_brute_force_argmax(instance):
     m, probs, gain, sigma, seed = instance
-    c = build_constellation(m, 1.0)
+    c = PamConstellation(m, 1.0)
     link = LinkBudget(composite_gain=gain, sigma=sigma)
     means = gain * c.amplitudes
     _, cuts = _decision_intervals(means, probs, sigma)
@@ -116,7 +116,7 @@ def test_map_detect_matches_brute_force_argmax(instance):
 
 
 def test_map_detect_zero_gain_picks_most_probable_lowest_index():
-    c = build_constellation(4, 1.0)
+    c = PamConstellation(4, 1.0)
     link = LinkBudget(composite_gain=0.0, sigma=0.5)
     y = np.linspace(-3.0, 3.0, 61)
     assert np.all(map_detect(y, c, np.array([0.1, 0.4, 0.1, 0.4]), link) == 1)
@@ -124,7 +124,7 @@ def test_map_detect_zero_gain_picks_most_probable_lowest_index():
 
 
 def test_map_detect_exact_tie_goes_to_lower_index():
-    c = build_constellation(2, 1.0)
+    c = PamConstellation(2, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.5)
     # equal priors, means -1 and 1: y = 0 ties, and argmax takes index 0
     assert map_detect(0.0, c, np.array([0.5, 0.5]), link) == 0
@@ -176,7 +176,7 @@ def _iid_confusion(cfg):
 
 
 def test_confusion_counts_match_argmax_reference_bit_for_bit():
-    c = build_constellation(8, 1.0)
+    c = PamConstellation(8, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.12)
     p = Distribution(np.array([0.05, 0.2, 0.0, 0.25, 0.1, 0.0, 0.3, 0.1]))
     cfg = SimConfig(n_symbols=_CHUNK + 7, seed=31, link=link, constellation=c,
@@ -211,7 +211,7 @@ def _block_test_distributions(m):
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
 def test_blocked_simulation_is_bit_identical_to_unblocked_chunks(m):
-    c = build_constellation(m, 1.0)
+    c = PamConstellation(m, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.7 / m)
     for k, probs in enumerate(_block_test_distributions(m)):
         for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK + 7):
@@ -240,7 +240,7 @@ def _walk_edge_cases(m):
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
 def test_outward_count_edge_cases_are_bit_identical_to_unblocked_chunks(m):
-    c = build_constellation(m, 1.0)
+    c = PamConstellation(m, 1.0)
     for link, probs, case in _walk_edge_cases(m):
         winners, cuts = _decision_intervals(link.composite_gain * c.amplitudes,
                                             probs, link.sigma)
@@ -261,7 +261,7 @@ def test_outward_count_edge_cases_are_bit_identical_to_unblocked_chunks(m):
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
 def test_zero_probability_symbols_are_never_sent_nor_detected(m):
-    c = build_constellation(m, 1.0)
+    c = PamConstellation(m, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.7 / m)
     for k, probs in enumerate(_block_test_distributions(m)):
         zero = probs == 0.0
@@ -275,7 +275,7 @@ def test_zero_probability_symbols_are_never_sent_nor_detected(m):
 
 
 def test_symbol_major_draw_has_the_law_of_iid_draws():
-    c = build_constellation(8, 1.0)
+    c = PamConstellation(8, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.15)
     p = Distribution(np.array([0.05, 0.2, 0.0, 0.25, 0.1, 0.0, 0.3, 0.1]))
     n = 1_000_000
@@ -290,7 +290,7 @@ def test_symbol_major_draw_has_the_law_of_iid_draws():
 
 
 def test_simulation_noiseless_limit():
-    c = build_constellation(8, 1.0)
+    c = PamConstellation(8, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=1e-12)
     stats = simulate_error_rates(SimConfig(
         n_symbols=50_000, seed=1, link=link, constellation=c,
@@ -299,7 +299,7 @@ def test_simulation_noiseless_limit():
 
 
 def test_binary_uniform_matches_antipodal_closed_form():
-    c = build_constellation(2, 1.0)
+    c = PamConstellation(2, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.6)
     stats = simulate_error_rates(SimConfig(
         n_symbols=2_000_000, seed=2, link=link, constellation=c,
@@ -312,7 +312,7 @@ def test_binary_uniform_matches_antipodal_closed_form():
 
 def test_shaped_simulation_respects_bound_and_approximation():
     rng = np.random.default_rng(11)
-    c = build_constellation(8, 6.0)
+    c = PamConstellation(8, 6.0)
     link = LinkBudget(composite_gain=1.0, sigma=1.0)
     p = Distribution(dirichlet_interior(rng, 8, floor=0.02))
     stats = simulate_error_rates(SimConfig(
@@ -325,7 +325,7 @@ def test_shaped_simulation_respects_bound_and_approximation():
 
 def test_symbol_frequencies_match_distribution():
     rng = np.random.default_rng(13)
-    c = build_constellation(8, 2.0)
+    c = PamConstellation(8, 2.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.4)
     p = Distribution(rng.dirichlet(np.ones(8)))
     n = 500_000
@@ -340,7 +340,7 @@ def test_symbol_frequencies_match_distribution():
 
 def test_confusion_off_diagonal_respects_pairwise_terms():
     rng = np.random.default_rng(17)
-    c = build_constellation(4, 4.0)
+    c = PamConstellation(4, 4.0)
     link = LinkBudget(composite_gain=1.0, sigma=1.0)
     p = Distribution(dirichlet_interior(rng, 4, floor=0.05))
     n = 1_000_000
@@ -360,7 +360,7 @@ def test_confusion_off_diagonal_respects_pairwise_terms():
 
 
 def test_simulation_reproducibility():
-    c = build_constellation(8, 2.0)
+    c = PamConstellation(8, 2.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.5)
     cfg = SimConfig(n_symbols=2_300_000, seed=99, link=link, constellation=c,
                     distribution=Distribution.uniform(8))
@@ -383,7 +383,7 @@ def test_chunk_streams_are_keyed_by_seed_and_index():
 def test_ber_stderr_counts_both_bits_of_a_two_bit_error():
     # only symbols 0 and 2 (Gray labels 00 and 11) are sent, so every symbol
     # error flips both bits: the bit errors are the symbol errors counted twice
-    c = build_constellation(4, 1.0)
+    c = PamConstellation(4, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.5)
     stats = simulate_error_rates(SimConfig(
         n_symbols=200_000, seed=6, link=link, constellation=c,
@@ -520,7 +520,7 @@ def test_pairwise_oracles_reject_non_finite_probabilities(bad, side):
     ("seed", 1.5), ("seed", 1.0), ("seed", False), ("seed", np.float64(3.0)),
 ])
 def test_sim_config_rejects_non_integer_counts_and_seeds(field, value):
-    c = build_constellation(4, 1.0)
+    c = PamConstellation(4, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.5)
     kwargs = dict(n_symbols=10, seed=1, link=link, constellation=c,
                   distribution=Distribution.uniform(4))
@@ -532,7 +532,7 @@ def test_sim_config_rejects_non_integer_counts_and_seeds(field, value):
 
 
 def test_sim_config_validation():
-    c = build_constellation(4, 1.0)
+    c = PamConstellation(4, 1.0)
     link = LinkBudget(composite_gain=1.0, sigma=0.5)
     with pytest.raises(ConfigError):
         SimConfig(n_symbols=0, seed=1, link=link, constellation=c,

@@ -11,8 +11,8 @@ from scipy.optimize import linprog
 from pcs_shaper.capacity import EntropyGrid, secrecy_capacity, secrecy_lb_estimate
 from pcs_shaper.channel import LinkBudget
 from pcs_shaper.cli import default_paper_config, resolve_point
-from pcs_shaper.constellation import ConstraintSet, \
-    build_constellation, signed_amplitude_mean, symmetry_residual
+from pcs_shaper.constellation import ConstraintSet, Distribution, \
+    PamConstellation, signed_amplitude_mean, symmetry_residual
 from pcs_shaper.error_rate import ACTIVE_SUPPORT_FLOOR, ber_approx, ber_upper_bound, \
     grad_ber_approx
 from pcs_shaper.exceptions import ConfigError, DegradedRegimeError, InfeasibleError, \
@@ -599,7 +599,7 @@ def test_projector_rejects_a_third_row():
 def test_linearized_ber_constraint_properties(receiver, noise_params):
     rng = np.random.default_rng(107)
     led, bob, _, _, _ = links_at_dbm(25.0, receiver, noise_params)
-    c = build_constellation(8, led.peak_amplitude)
+    c = PamConstellation(8, led.peak_amplitude)
     p0 = dirichlet_interior(rng, 8, floor=0.01)
     g = linearized_ber_constraint(p0, bob, c)
     assert float(g @ p0) == pytest.approx(ber_upper_bound(c, p0, bob), rel=1e-12)
@@ -624,7 +624,7 @@ def test_ber_tangent_passes_through_the_origin(receiver, noise_params, m,
     """The bounds are homogeneous of degree 1 (Euler: f(q) = grad f(q) @ q) on
     both pair sets, so the tangent at a clamped point needs no offset."""
     led, bob, _, _, _ = links_at_dbm(power_dbm, receiver, noise_params)
-    c = build_constellation(m, led.peak_amplitude)
+    c = PamConstellation(m, led.peak_amplitude)
     p = np.array(raw[:m])
     assume(p.sum() > 0.0)
     q = np.maximum(p / p.sum(), ACTIVE_SUPPORT_FLOOR)
@@ -637,7 +637,7 @@ def test_ber_tangent_passes_through_the_origin(receiver, noise_params, m,
 def _problem(variant, power_dbm, receiver, noise_params, mode="flicker", m=8,
              threshold=3.8e-3, alpha=0.01):
     led, bob, eve, eve_avg, _ = links_at_dbm(power_dbm, receiver, noise_params)
-    c = build_constellation(m, led.peak_amplitude)
+    c = PamConstellation(m, led.peak_amplitude)
     known = variant in ("known_csi", "qos_max_eve_ber")
     return DesignProblem(
         variant=variant, constellation=c, bob_link=bob, dc_bias=led.dc_bias,
@@ -673,6 +673,17 @@ def test_feasibility_report_carries_the_ber_bound(receiver, noise_params):
     report = feasibility_report(prob, p)
     assert report["ber_upper"] == ber_upper_bound(prob.constellation, p, prob.bob_link)
     assert report["ber_upper_excess"] == report["ber_upper"] - 3.8e-3
+
+
+@pytest.mark.parametrize("mode", ["flicker", "symmetric"])
+def test_feasibility_report_takes_a_distribution_or_a_list(receiver, noise_params, mode):
+    prob = _problem("unknown_csi", 26.0, receiver, noise_params, mode=mode)[0]
+    uniform = Distribution.uniform(8)
+    want = feasibility_report(prob, uniform.probs)
+    assert feasibility_report(prob, uniform) == want
+    assert feasibility_report(prob, uniform.probs.tolist()) == want
+    with pytest.raises(ConfigError, match="length 8, got 4"):
+        feasibility_report(prob, [0.25] * 4)
 
 
 def test_known_csi_unconstrained_reduction(receiver, noise_params):
@@ -911,7 +922,7 @@ def test_symmetric_large_noise_prefers_extreme_mass(receiver, noise_params):
     # the output-entropy gain is first-order in the signal variance, so the
     # optimum concentrates mass on the extreme mirror pair rather than
     # spreading uniformly
-    c = build_constellation(8, 1.0)
+    c = PamConstellation(8, 1.0)
     bob = LinkBudget(composite_gain=1.0, sigma=25.0)
     eve_avg = LinkBudget(composite_gain=0.1, sigma=25.0)
     prob = DesignProblem(variant="unknown_csi_symmetric", constellation=c,
@@ -951,7 +962,7 @@ def test_unknown_objective_consistent_with_t_at_bound(receiver, noise_params):
 def test_qos_sanity_path(receiver, noise_params):
     # eavesdropper link identical to the legitimate one, threshold wide open
     led, bob, _, _, _ = links_at_dbm(26.0, receiver, noise_params)
-    c = build_constellation(8, led.peak_amplitude)
+    c = PamConstellation(8, led.peak_amplitude)
     prob = DesignProblem(variant="qos_max_eve_ber", constellation=c,
                          bob_link=bob, dc_bias=led.dc_bias,
                          constraints=ConstraintSet(pre_fec_threshold=0.499),
@@ -963,7 +974,7 @@ def test_qos_sanity_path(receiver, noise_params):
 
 def test_degraded_regime_guard(receiver, noise_params):
     led, bob, eve, _, _ = links_at_dbm(28.0, receiver, noise_params)
-    c = build_constellation(8, led.peak_amplitude)
+    c = PamConstellation(8, led.peak_amplitude)
     prob = DesignProblem(variant="known_csi", constellation=c, bob_link=eve,
                          dc_bias=led.dc_bias, constraints=ConstraintSet(),
                          eve_link=bob)
@@ -979,7 +990,7 @@ def test_infeasible_design_at_very_low_power(receiver, noise_params):
 
 def test_problem_validation(receiver, noise_params):
     led, bob, eve, eve_avg, _ = links_at_dbm(26.0, receiver, noise_params)
-    c = build_constellation(8, led.peak_amplitude)
+    c = PamConstellation(8, led.peak_amplitude)
     with pytest.raises(ConfigError):
         DesignProblem(variant="known_csi", constellation=c, bob_link=bob,
                       dc_bias=led.dc_bias)          # missing eve_link
