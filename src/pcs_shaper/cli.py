@@ -303,7 +303,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     for point, result in _solved(cfg):
         rows.append(_sweep_row(cfg, point, "uniform", uniform,
                                _secrecy_metric(point, uniform),
-                               feasibility_report(point.problem, uniform.probs), len(rows)))
+                               feasibility_report(point.problem, uniform), len(rows)))
         secrecy = _secrecy_metric(point, result.p_opt) \
             if cfg.variant == "qos_max_eve_ber" else result.objective
         rows.append(_sweep_row(cfg, point, "pcs", result.p_opt, secrecy,

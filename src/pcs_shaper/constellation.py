@@ -63,10 +63,11 @@ class PamConstellation:
         amps.setflags(write=False)
         codes = [k ^ (k >> 1) for k in range(m)]
         labels = tuple(format(k, f"0{m.bit_length() - 1}b") for k in codes)
-        for name, value in (("order_m", m), ("peak_a", a), ("amplitudes", amps),
-                            ("gray_labels", labels),
-                            ("gray_codes", np.array(codes, dtype=np.int64))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "order_m", m)
+        object.__setattr__(self, "peak_a", a)
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "gray_labels", labels)
+        object.__setattr__(self, "gray_codes", np.array(codes, dtype=np.int64))
 
     @property
     def bits_per_symbol(self) -> int:
@@ -145,7 +146,5 @@ def signed_amplitude_mean(constellation: PamConstellation, p) -> float:
     (m, M-m+1) pairs is a^T p, and it is exactly zero for a symmetric
     distribution.  A vector whose length is not M raises ConfigError.
     """
-    arr = as_probs(p, constellation.order_m)
-    a = constellation.amplitudes
-    half = arr.size // 2
-    return float(np.dot(a[:half], arr[:half] - arr[::-1][:half]))
+    residual = symmetry_residual(as_probs(p, constellation.order_m))
+    return float(np.dot(constellation.amplitudes[:residual.size], residual))

@@ -2,7 +2,7 @@
 total, the lines that are not blank and do not start with ``#`` once their
 indentation is stripped.  Docstrings count as code.
 
-Usage: ``python tools/ncloc.py [package_dir]``
+Usage: ``python tools/ncloc.py``
 """
 import sys
 from pathlib import Path
@@ -16,9 +16,8 @@ def ncloc(path: Path) -> int:
     return sum(1 for line in lines if line and not line.startswith("#"))
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else PACKAGE
-    counts = {p.name: ncloc(p) for p in sorted(package.glob("*.py"))}
+def main() -> int:
+    counts = {p.name: ncloc(p) for p in sorted(PACKAGE.glob("*.py"))}
     for name, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
         print(f"{n:6d}  {name}")
     print(f"{sum(counts.values()):6d}  total")
@@ -26,4 +25,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
